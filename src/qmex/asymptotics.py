@@ -19,8 +19,6 @@ from functools import lru_cache
 
 from .qfunctions import distinct_gen, sigma_d_mex_series
 
-Rational = Fraction
-
 # Euler-Mascheroni constant, double precision.
 EULER_GAMMA = 0.5772156649015329
 
@@ -131,7 +129,8 @@ def hrr_sigma_mex(n: int, terms: int) -> HrrResult:
               * I_1(pi sqrt(2 (n + 1/12)) / (sqrt(3) (2k-1)))
 
     The returned residual is the distance to the nearest integer, which
-    for moderate n already identifies the exact coefficient.
+    for moderate n already identifies the exact coefficient. A partial
+    sum beyond float range raises NumericalIntegrityError.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -146,6 +145,8 @@ def hrr_sigma_mex(n: int, terms: int) -> HrrResult:
         a, _ = kloosterman_A(odd, n)
         acc += a / odd * bessel_I1(arg_top / odd)
     partial = prefactor * acc
+    if not math.isfinite(partial):
+        raise NumericalIntegrityError(f"partial sum for n = {n} is {partial!r}, not finite")
     rounded = math.floor(partial + 0.5)
     return HrrResult(n, terms, partial, int(rounded), abs(partial - rounded))
 

@@ -49,7 +49,7 @@ def _record(named: NamedSeries, meta: Optional[dict] = None) -> dict:
     return {
         "name": named.name,
         "form": named.form.value,
-        "order": named.order,
+        "order": named.series.order,
         "coeffs": [str(c) for c in named.series.coefficients()],
         "meta": base,
     }
@@ -94,15 +94,11 @@ def _report_line(report) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.all:
-        reports = []
-        for desc in registry():
-            rng = args.order if desc.comparison is Comparison.SERIES_SERIES else args.oracle_max
-            reports.append(verify(desc.name, rng))
-    else:
-        desc = next(d for d in registry() if d.name == args.identity)
-        rng = args.order if desc.comparison is Comparison.SERIES_SERIES else args.oracle_max
-        reports = [verify(args.identity, rng)]
+    reports = [
+        verify(d.name, args.order if d.comparison is Comparison.SERIES_SERIES else args.oracle_max)
+        for d in registry()
+        if args.all or d.name == args.identity
+    ]
     for report in reports:
         print(_report_line(report))
     return 0 if all(r.status is Status.PASS for r in reports) else 1
@@ -123,15 +119,17 @@ def _cmd_asym(args: argparse.Namespace) -> int:
 
 
 def _cmd_tauberian(args: argparse.Namespace) -> int:
+    tauberian = tauberian_ratio(args.t, args.order)
+    eta = eta_ratio(args.t, args.order)
     print("name,value")
-    print(f"tauberian_ratio,{tauberian_ratio(args.t, args.order)!r}")
-    print(f"eta_ratio,{eta_ratio(args.t, args.order)!r}")
+    print(f"tauberian_ratio,{tauberian!r}")
+    print(f"eta_ratio,{eta!r}")
     return 0
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
     s = refined_series(RefinedKind(args.kind), args.index, args.order)
-    named = NamedSeries(f"refined-{args.kind}-{args.index}", Form.CANONICAL, args.order, s)
+    named = NamedSeries(f"refined-{args.kind}-{args.index}", Form.CANONICAL, s)
     _emit_series(named, args.format)
     return 0
 

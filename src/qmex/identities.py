@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from itertools import count, takewhile
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .partitions import CountKind, StatKind, refined_count_oracle, stat_sum_oracle, two_colored_distinct_count
 from .qfunctions import (
     Form,
     RefinedKind,
+    _maex_slices,
     a_d_series,
     a_series,
     chern_sigma_maex_series,
@@ -90,16 +92,6 @@ class IdentityDescriptor:
     default_range: int
     statement: str
 
-    @property
-    def lhs(self) -> Callable:
-        first = self.checks[0]
-        return first.lhs if isinstance(first, SeriesPair) else first.series
-
-    @property
-    def rhs(self) -> Callable:
-        first = self.checks[0]
-        return first.rhs if isinstance(first, SeriesPair) else first.oracle
-
 
 @dataclass(frozen=True)
 class Mismatch:
@@ -126,50 +118,23 @@ class VerificationReport:
 # builders used by more than one entry
 
 
-def _sum_dcount(order: int) -> IntSeries:
+def _slice_sum(order: int, slices: Iterable[tuple[int, IntSeries]]) -> IntSeries:
+    """Sum of weight * slice over (weight, slice) pairs of this order."""
     total = zero(order)
-    i = 0
-    while i * (i + 1) // 2 <= order:
-        total = total + dcount_series(i, order)
-        i += 1
+    for weight, s in slices:
+        total = total + s.scale_shift(weight)
     return total
 
 
-def _sum_mex_slices(order: int, weighted: bool) -> IntSeries:
-    total = zero(order)
-    m = 1
-    while m * (m - 1) // 2 <= order:
-        s = refined_series(RefinedKind.MEX, m, order)
-        total = total + (s.scale_shift(m) if weighted else s)
-        m += 1
-    return total
+def _indices(order: int, first: int, low: Callable[[int], int]) -> Iterator[int]:
+    """first, first + 1, ... while the lowest exponent low(k) of slice k is at most order."""
+    return takewhile(lambda k: low(k) <= order, count(first))
 
 
-def _sum_omex_slices(order: int) -> IntSeries:
-    total = zero(order)
-    k = 0
-    while k * (2 * k + 1) <= order:
-        total = total + refined_series(RefinedKind.OMEX, k, order)
-        k += 1
-    return total
-
-
-def _sum_moex_slices(order: int) -> IntSeries:
-    total = zero(order)
-    k = 0
-    while k * k <= order:
-        total = total + refined_series(RefinedKind.MOEX, k, order).scale_shift(2 * k + 1)
-        k += 1
-    return total
-
-
-def _sum_maex_slices(order: int) -> IntSeries:
-    total = zero(order)
-    k = 1
-    while k + 1 <= order:
-        total = total + refined_series(RefinedKind.MAEX, k, order).scale_shift(k)
-        k += 1
-    return total
+def _mex_slices(order: int, weighted: bool) -> Iterator[tuple[int, IntSeries]]:
+    """(m or 1, mex slice m) for every mex slice that is nonzero at this order."""
+    for m in _indices(order, 1, lambda m: m * (m - 1) // 2):
+        yield (m if weighted else 1), refined_series(RefinedKind.MEX, m, order)
 
 
 def _shifted_smallest_gt(i: int) -> Oracle:
@@ -275,14 +240,20 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         "d-i-sum",
         "sum_{i>=0} [distinct partitions with mex > i] = mex-sum over "
         "distinct partitions",
-        SeriesPair("sum-vs-sigma-d-mex", _sum_dcount, sigma_d_mex_series),
+        SeriesPair(
+            "sum-vs-sigma-d-mex",
+            lambda o: _slice_sum(
+                o, ((1, dcount_series(i, o)) for i in _indices(o, 0, lambda i: i * (i + 1) // 2))
+            ),
+            sigma_d_mex_series,
+        ),
     )
     ss(
         "refined-mex-weighted-sum",
         "sum_m m [distinct partitions with mex = m] = mex-sum over distinct",
         SeriesPair(
             "weighted-slices",
-            lambda o: _sum_mex_slices(o, True),
+            lambda o: _slice_sum(o, _mex_slices(o, True)),
             sigma_d_mex_series,
         ),
     )
@@ -291,24 +262,48 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         "sum_m [distinct partitions with mex = m] = (-q;q)_inf",
         SeriesPair(
             "unweighted-slices",
-            lambda o: _sum_mex_slices(o, False),
+            lambda o: _slice_sum(o, _mex_slices(o, False)),
             distinct_gen,
         ),
     )
     ss(
         "refined-omex-sum",
         "sum_k [distinct partitions with mex = 2k+1] = odd-mex count over distinct",
-        SeriesPair("omex-slices", _sum_omex_slices, a_d_series),
+        SeriesPair(
+            "omex-slices",
+            lambda o: _slice_sum(
+                o,
+                (
+                    (1, refined_series(RefinedKind.OMEX, k, o))
+                    for k in _indices(o, 0, lambda k: k * (2 * k + 1))
+                ),
+            ),
+            a_d_series,
+        ),
     )
     ss(
         "refined-moex-weighted-sum",
         "sum_k (2k+1) [distinct partitions with moex = 2k+1] = moex-sum over distinct",
-        SeriesPair("weighted-moex-slices", _sum_moex_slices, sigma_d_moex_series),
+        SeriesPair(
+            "weighted-moex-slices",
+            lambda o: _slice_sum(
+                o,
+                (
+                    (2 * k + 1, refined_series(RefinedKind.MOEX, k, o))
+                    for k in _indices(o, 0, lambda k: k * k)
+                ),
+            ),
+            sigma_d_moex_series,
+        ),
     )
     ss(
         "refined-maex-weighted-sum",
         "sum_k k [distinct partitions with maex = k] = maex-sum over distinct",
-        SeriesPair("weighted-maex-slices", _sum_maex_slices, sigma_d_maex_series),
+        SeriesPair(
+            "weighted-maex-slices",
+            lambda o: _slice_sum(o, _maex_slices(o)),
+            sigma_d_maex_series,
+        ),
     )
 
     so(
@@ -458,22 +453,17 @@ def verify_descriptor(
     worst: Optional[Mismatch] = None
     for check in desc.checks:
         if isinstance(check, SeriesPair):
-            ls = check.lhs(rng)
-            rs = check.rhs(rng)
-            for n in range(rng + 1):
-                a, b = ls.coefficient(n), rs.coefficient(n)
-                if a != b:
-                    if worst is None or n < worst.n:
-                        worst = Mismatch(n, a, b, check.label)
-                    break
+            lhs = check.lhs(rng)
+            rhs = check.rhs(rng).coefficient
         else:
-            s = check.series(rng)
-            for n in range(rng + 1):
-                a, b = s.coefficient(n), check.oracle(n)
-                if a != b:
-                    if worst is None or n < worst.n:
-                        worst = Mismatch(n, a, b, check.label)
-                    break
+            lhs = check.series(rng)
+            rhs = check.oracle
+        for n in range(rng + 1):
+            a, b = lhs.coefficient(n), rhs(n)
+            if a != b:
+                if worst is None or n < worst.n:
+                    worst = Mismatch(n, a, b, check.label)
+                break
     status = Status.PASS if worst is None else Status.FAIL
     return VerificationReport(desc.name, rng, status, worst)
 

@@ -7,11 +7,13 @@ through genuinely different formulas and are compared coefficientwise
 by the identity registry, so a bug in one route shows up as a mismatch
 rather than silently agreeing with itself.
 
-Partial sums of q-hypergeometric type are accumulated incrementally:
-the ratio of consecutive terms is a monomial times one or two binomial
-factors, so each new term costs O(N) list work instead of a fresh
-O(N^2) product. A term enters the sum iff its minimal exponent is at
-most the truncation order.
+Partial sums of q-hypergeometric type are accumulated incrementally
+by _partial_sum: the ratio of consecutive terms is a monomial times one
+or two binomial factors, so each new term costs O(N) list work instead
+of a fresh O(N^2) product. A term enters the sum iff its minimal
+exponent is at most the truncation order. The two maex double sums are
+evaluated in Horner form, innermost factor first, so neither needs a
+dense product.
 
 Naming follows the statistics themselves: mex is the least missing
 part, moex the least missing odd part, maex the largest missing value
@@ -25,6 +27,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, count
+from typing import Iterable, Iterator
 
 from .series import (
     INFINITE,
@@ -55,11 +59,10 @@ class RefinedKind(enum.Enum):
 
 @dataclass(frozen=True)
 class NamedSeries:
-    """A built series together with the name, form and order that produced it."""
+    """A built series together with the name and form that produced it."""
 
     name: str
     form: Form
-    order: int
     series: IntSeries
 
 
@@ -70,6 +73,50 @@ def _check_order(order: int) -> None:
 
 def _bad_form(name: str, form: Form) -> ValueError:
     return ValueError(f"{name} has no form {form.value!r}")
+
+
+# One step (w_n, a_n, binomials) of a partial sum; see _partial_sum.
+_Step = tuple[int, int, tuple[tuple[int, int, int], ...]]
+
+# The n = 0 term 1 of sums that start there.
+_FIRST = (1, 0, ())
+
+
+def _partial_sum(order: int, steps: Iterable[_Step]) -> list[int]:
+    """Coefficients 0..order of sum_n w_n t_n for a term recurrence.
+
+    steps yields (w_n, a_n, binomials) for n = 0, 1, ...; starting from
+    1, each term is t_n = q^{a_n} t_{n-1} prod (1 + s q^e)^p over the
+    (s, e, p) in binomials, p being +1 (multiply) or -1 (divide). Every
+    binomial has constant term 1, so a_0 + ... + a_n is the lowest
+    exponent of t_n: the sum stops at the first step where it passes
+    order, and the shifts must be non-negative for that to be exact.
+    """
+    total = [0] * (order + 1)
+    term = [1] + [0] * order
+    low = 0
+    for weight, shift, binomials in steps:
+        low += shift
+        if low > order:
+            break
+        _shift_inplace(term, shift)
+        for sign, e, power in binomials:
+            if power > 0:
+                _mul_binomial_inplace(term, sign, e)
+            else:
+                _div_binomial_inplace(term, sign, e)
+        for j in range(low, order + 1):
+            v = term[j]
+            if v:
+                total[j] += weight * v
+    return total
+
+
+def _triangular_steps(sign: int) -> Iterator[_Step]:
+    """t_n = q^{n(n+1)/2} / (-q;q)_n weighted sign^n: ratio q^n / (1 + q^n)."""
+    yield _FIRST
+    for n in count(1):
+        yield sign**n, n, ((1, n, -1),)
 
 
 # ----------------------------------------------------------------------
@@ -87,34 +134,10 @@ def sigma_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     """
     _check_order(order)
     if form is Form.CANONICAL:
-        total = [0] * (order + 1)
-        total[0] = 1  # n = 0 term
-        term = [1] + [0] * order
-        n = 1
-        while n * (n + 1) // 2 <= order:
-            # term_n = term_{n-1} * q^n / (1 + q^n)
-            _shift_inplace(term, n)
-            _div_binomial_inplace(term, 1, n)
-            for j in range(n * (n + 1) // 2, order + 1):
-                v = term[j]
-                if v:
-                    total[j] += v
-            n += 1
-        return IntSeries(total)
+        return IntSeries(_partial_sum(order, _triangular_steps(1)))
     if form is Form.ALT1:
-        total = [0] * (order + 1)
-        term = [1] + [0] * order
-        n = 1
-        while n * (n - 1) // 2 <= order:
-            # term_n = q^{n(n-1)/2} / (-q;q)_n, ratio q^{n-1}/(1+q^n)
-            _shift_inplace(term, n - 1)
-            _div_binomial_inplace(term, 1, n)
-            for j in range(n * (n - 1) // 2, order + 1):
-                v = term[j]
-                if v:
-                    total[j] += n * v
-            n += 1
-        return IntSeries(total)
+        # t_m = q^{m(m-1)/2} / (-q;q)_m, ratio q^{m-1} / (1 + q^m)
+        return IntSeries(_partial_sum(order, ((m, m - 1, ((1, m, -1),)) for m in count(1))))
     raise _bad_form("sigma", form)
 
 
@@ -122,21 +145,9 @@ def sigma_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
 def sigma_star_series(order: int) -> IntSeries:
     """Companion series 2 * sum_{n>=1} (-1)^n q^{n^2} / (q;q^2)_n."""
     _check_order(order)
-    total = [0] * (order + 1)
-    term = [1] + [0] * order
-    sign = 1
-    n = 1
-    while n * n <= order:
-        # term_n = q^{n^2} / (q;q^2)_n, ratio q^{2n-1}/(1-q^{2n-1})
-        _shift_inplace(term, 2 * n - 1)
-        _div_binomial_inplace(term, -1, 2 * n - 1)
-        sign = -sign
-        for j in range(n * n, order + 1):
-            v = term[j]
-            if v:
-                total[j] += 2 * sign * v
-        n += 1
-    return IntSeries(total)
+    # t_n = q^{n^2} / (q;q^2)_n, ratio q^{2n-1} / (1 - q^{2n-1})
+    steps = ((2 * (-1) ** n, 2 * n - 1, ((-1, 2 * n - 1, -1),)) for n in count(1))
+    return IntSeries(_partial_sum(order, steps))
 
 
 # ----------------------------------------------------------------------
@@ -186,40 +197,17 @@ def a_d_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     """
     _check_order(order)
     if form is Form.CANONICAL:
-        inner = [0] * (order + 1)
-        inner[0] = 1
-        term = [1] + [0] * order
-        sign = 1
-        n = 1
-        while n * (n + 1) // 2 <= order:
-            _shift_inplace(term, n)
-            _div_binomial_inplace(term, 1, n)
-            sign = -sign
-            for j in range(n * (n + 1) // 2, order + 1):
-                v = term[j]
-                if v:
-                    inner[j] += sign * v
-            n += 1
-        return distinct_gen(order) * IntSeries(inner)
-    if form is Form.ALT1:
-        inner = [0] * (order + 1)
-        term = [1] + [0] * order
-        _div_binomial_inplace(term, 1, 1)  # n = 0 term is 1/(1+q)
-        for j in range(order + 1):
-            inner[j] += term[j]
-        n = 1
-        while n * (2 * n + 1) <= order:
-            # ratio q^{4n-1} / ((1+q^{2n})(1+q^{2n+1}))
-            _shift_inplace(term, 4 * n - 1)
-            _div_binomial_inplace(term, 1, 2 * n)
-            _div_binomial_inplace(term, 1, 2 * n + 1)
-            for j in range(n * (2 * n + 1), order + 1):
-                v = term[j]
-                if v:
-                    inner[j] += v
-            n += 1
-        return distinct_gen(order) * IntSeries(inner)
-    raise _bad_form("a-d", form)
+        inner = _partial_sum(order, _triangular_steps(-1))
+    elif form is Form.ALT1:
+        # t_0 = 1/(1+q), then ratio q^{4n-1} / ((1+q^{2n})(1+q^{2n+1}))
+        steps = chain(
+            [(1, 0, ((1, 1, -1),))],
+            ((1, 4 * n - 1, ((1, 2 * n, -1), (1, 2 * n + 1, -1))) for n in count(1)),
+        )
+        inner = _partial_sum(order, steps)
+    else:
+        raise _bad_form("a-d", form)
+    return distinct_gen(order) * IntSeries(inner)
 
 
 @lru_cache(maxsize=None)
@@ -234,110 +222,99 @@ def sigma_d_moex_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     """
     _check_order(order)
     if form is Form.CANONICAL:
-        inner = [0] * (order + 1)
-        inner[0] = 1
-        term = [1] + [0] * order
-        n = 1
-        while n * n <= order:
-            # ratio q^{2n-1} / (1 + q^{2n-1})
-            _shift_inplace(term, 2 * n - 1)
-            _div_binomial_inplace(term, 1, 2 * n - 1)
-            for j in range(n * n, order + 1):
-                v = term[j]
-                if v:
-                    inner[j] += 2 * v
-            n += 1
-        return distinct_gen(order) * IntSeries(inner)
-    if form is Form.ALT1:
-        inner = [0] * (order + 1)
-        inner[0] = 1
-        term = [1] + [0] * order
-        sign = -1
-        n = 1
-        while n <= order:
-            # term_n = q^n (q^2;q^2)_{n-1}: shift by 1, then a new
-            # factor (1 - q^{2(n-1)}) appears for n >= 2
-            _shift_inplace(term, 1)
-            if n >= 2:
-                _mul_binomial_inplace(term, -1, 2 * (n - 1))
-            sign = -sign
-            for j in range(n, order + 1):
-                v = term[j]
-                if v:
-                    inner[j] += 2 * sign * v
-            n += 1
-        return distinct_gen(order) * IntSeries(inner)
-    if form is Form.ALT2:
+        # ratio q^{2n-1} / (1 + q^{2n-1})
+        steps = ((2, 2 * n - 1, ((1, 2 * n - 1, -1),)) for n in count(1))
+        inner = _partial_sum(order, chain([_FIRST], steps))
+    elif form is Form.ALT1:
+        # t_n = q^n (q^2;q^2)_{n-1}: shift by 1, then a new factor
+        # (1 - q^{2(n-1)}) appears for n >= 2
+        steps = (
+            (2 * (-1) ** (n - 1), 1, ((-1, 2 * (n - 1), 1),) if n >= 2 else ())
+            for n in count(1)
+        )
+        inner = _partial_sum(order, chain([_FIRST], steps))
+    elif form is Form.ALT2:
         star = sigma_star_series(order).coefficients()
         inner = [(-c if j % 2 else c) for j, c in enumerate(star)]  # q -> -q
         inner[0] += 1
-        return distinct_gen(order) * IntSeries(inner)
-    raise _bad_form("sigma-d-moex", form)
+    else:
+        raise _bad_form("sigma-d-moex", form)
+    return distinct_gen(order) * IntSeries(inner)
+
+
+def _maex_exponents(k: int, order: int) -> Iterator[int]:
+    """Exponents m(m+1)/2 + km, m >= 1, of T_k up to order, ascending.
+
+    T_k = sum_{m>=1} q^{m(m+1)/2 + km} counts the m distinct parts
+    above a gap at k; its first exponent is k + 1.
+    """
+    m = 1
+    e = 1 + k
+    while e <= order:
+        yield e
+        m += 1
+        e = m * (m + 1) // 2 + k * m
+
+
+def _maex_theta(k: int, order: int) -> IntSeries:
+    """The sparse series T_k, truncated."""
+    c = [0] * (order + 1)
+    for e in _maex_exponents(k, order):
+        c[e] = 1
+    return IntSeries(c)
+
+
+def _maex_slices(order: int) -> Iterator[tuple[int, IntSeries]]:
+    """Yield (k, refined_series(MAEX, k, order)) for k = 1 .. order - 1.
+
+    Later slices are zero at this order. The prefix (-q;q)_{k-1} is
+    extended by one binomial per k and multiplied by the sparse T_k.
+    """
+    prefix = [1] + [0] * order
+    for k in range(1, order):
+        if k > 1:
+            _mul_binomial_inplace(prefix, 1, k - 1)
+        yield k, IntSeries(prefix) * _maex_theta(k, order)
 
 
 @lru_cache(maxsize=None)
 def sigma_d_maex_series(order: int) -> IntSeries:
     """Sum of the maximal excludant over distinct-part partitions.
 
-    Double sum  sum_{k>=1} k (-q;q)_{k-1} sum_{m>=1} q^{m(m+1)/2 + km},
+    Double sum  sum_{k>=1} k (-q;q)_{k-1} T_k,  T_k = sum_{m>=1} q^{m(m+1)/2 + km},
     grouping by maex value k and by the number m of parts above the
-    gap. Truncation drops (k, m) pairs whose minimal exponent exceeds
-    the order; constant and linear coefficients are zero.
+    gap. Evaluated in Horner form from k = order - 1 down (T_k vanishes
+    beyond), acc <- acc (1 + q^k) + k T_k with T_k added sparsely:
+    O(order^2). Constant and linear coefficients are zero.
     """
     _check_order(order)
-    total = [0] * (order + 1)
-    pk = [1] + [0] * order  # (-q;q)_{k-1}, starts at k = 1
-    k = 1
-    while k + 1 <= order:
-        if k > 1:
-            _mul_binomial_inplace(pk, 1, k - 1)
-        m = 1
-        e = 1 + k
-        while e <= order:
-            for j in range(order + 1 - e):
-                v = pk[j]
-                if v:
-                    total[e + j] += k * v
-            m += 1
-            e = m * (m + 1) // 2 + k * m
-        k += 1
-    return IntSeries(total)
+    acc = [0] * (order + 1)
+    for k in range(order - 1, 0, -1):
+        _mul_binomial_inplace(acc, 1, k)
+        for e in _maex_exponents(k, order):
+            acc[e] += k
+    return IntSeries(acc)
 
 
 @lru_cache(maxsize=None)
 def chern_sigma_maex_series(order: int) -> IntSeries:
     """Sum of the maximal excludant over all partitions.
 
-    Double sum  sum_{n>=1} n / (q;q)_{n-1} * sum_{m>=1} q^{m(n+1)} (-q;q)_{m-1},
-    grouping by maex value n. The inner sum is rebuilt for each n (it
-    shrinks fast); the outer prefix 1/(q;q)_{n-1} is extended one factor
-    at a time.
+    Double sum  sum_{n>=1} n / (q;q)_{n-1} * inner_n,
+    inner_n = sum_{m>=1} q^{m(n+1)} (-q;q)_{m-1}, grouping by maex
+    value n. Evaluated in Horner form from n = order - 1 down (inner_n
+    vanishes beyond), acc <- acc / (1 - q^n) + n inner_n, with inner_n
+    a partial sum of about order/n terms: O(order^2 log order) binomial
+    kernels and no dense product.
     """
     _check_order(order)
-    total = [0] * (order + 1)
-    qn = [1] + [0] * order  # 1/(q;q)_{n-1}, starts at n = 1
-    n = 1
-    while n + 1 <= order:
-        if n > 1:
-            _div_binomial_inplace(qn, -1, n - 1)
-        inner = [0] * (order + 1)
-        pm = [1] + [0] * order  # (-q;q)_{m-1}
-        m = 1
-        while m * (n + 1) <= order:
-            if m > 1:
-                _mul_binomial_inplace(pm, 1, m - 1)
-            e = m * (n + 1)
-            for j in range(order + 1 - e):
-                v = pm[j]
-                if v:
-                    inner[e + j] += v
-            m += 1
-        prod = (IntSeries(qn) * IntSeries(inner)).coefficients()
-        for j, v in enumerate(prod):
-            if v:
-                total[j] += n * v
-        n += 1
-    return IntSeries(total)
+    acc = [0] * (order + 1)
+    for n in range(order - 1, 0, -1):
+        _div_binomial_inplace(acc, -1, n)
+        # t_m = q^{m(n+1)} (-q;q)_{m-1}, ratio q^{n+1} (1 + q^{m-1})
+        steps = ((n, n + 1, ((1, m - 1, 1),) if m > 1 else ()) for m in count(1))
+        acc = [a + b for a, b in zip(acc, _partial_sum(order, steps))]
+    return IntSeries(acc)
 
 
 # ----------------------------------------------------------------------
@@ -382,18 +359,7 @@ def refined_series(kind: RefinedKind, index: int, order: int) -> IntSeries:
     if kind is RefinedKind.MAEX:
         if index < 1:
             raise ValueError("maex slice index must be >= 1")
-        pk = poch(1, 1, 1, index - 1, order).coefficients()
-        total = [0] * (order + 1)
-        m = 1
-        e = 1 + index
-        while e <= order:
-            for j in range(order + 1 - e):
-                v = pk[j]
-                if v:
-                    total[e + j] += v
-            m += 1
-            e = m * (m + 1) // 2 + index * m
-        return IntSeries(total)
+        return poch(1, 1, 1, index - 1, order) * _maex_theta(index, order)
     raise ValueError(f"unknown refined kind {kind!r}")
 
 
@@ -436,19 +402,8 @@ def a_series(order: int) -> IntSeries:
 def sigma_L_series(order: int) -> IntSeries:
     """Sum of the largest part over all partitions: sum_{m>=1} m q^m / (q;q)_m."""
     _check_order(order)
-    total = [0] * (order + 1)
-    term = [1] + [0] * order
-    m = 1
-    while m <= order:
-        # term_m = q^m / (q;q)_m, ratio q/(1-q^m)
-        _shift_inplace(term, 1)
-        _div_binomial_inplace(term, -1, m)
-        for j in range(m, order + 1):
-            v = term[j]
-            if v:
-                total[j] += m * v
-        m += 1
-    return IntSeries(total)
+    # t_m = q^m / (q;q)_m, ratio q / (1 - q^m)
+    return IntSeries(_partial_sum(order, ((m, 1, ((-1, m, -1),)) for m in count(1))))
 
 
 # ----------------------------------------------------------------------
@@ -481,10 +436,10 @@ def build_named(name: str, order: int, form: Form = Form.CANONICAL) -> NamedSeri
     if name in _PLAIN:
         if form is not Form.CANONICAL:
             raise _bad_form(name, form)
-        return NamedSeries(name, Form.CANONICAL, order, _PLAIN[name](order))
+        return NamedSeries(name, Form.CANONICAL, _PLAIN[name](order))
     if name in _FORMED:
         builder, forms = _FORMED[name]
         if form not in forms:
             raise _bad_form(name, form)
-        return NamedSeries(name, form, order, builder(order, form))
+        return NamedSeries(name, form, builder(order, form))
     raise KeyError(f"no series named {name!r}")

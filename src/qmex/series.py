@@ -40,7 +40,7 @@ class IntSeries:
         if not cs:
             raise ValueError("a series needs at least the q^0 coefficient")
         for c in cs:
-            if not isinstance(c, int):
+            if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"coefficients must be int, got {type(c).__name__}")
         self._coeffs = cs
 
@@ -184,7 +184,7 @@ class IntSeries:
 
 
 # ----------------------------------------------------------------------
-# module-level operations (thin wrappers plus the product builder)
+# module-level constructors and the product builder
 
 
 def make_series(coeffs: Sequence[int], order: int) -> IntSeries:
@@ -205,30 +205,6 @@ def zero(order: int) -> IntSeries:
 
 def one(order: int) -> IntSeries:
     return IntSeries([1] + [0] * order)
-
-
-def add(f: IntSeries, g: IntSeries) -> IntSeries:
-    return f + g
-
-
-def mul(f: IntSeries, g: IntSeries) -> IntSeries:
-    return f * g
-
-
-def invert(f: IntSeries) -> IntSeries:
-    return f.invert()
-
-
-def scale_shift(f: IntSeries, c: int, a: int = 0) -> IntSeries:
-    return f.scale_shift(c, a)
-
-
-def coefficient(f: IntSeries, n: int) -> int:
-    return f.coefficient(n)
-
-
-def eval_at(f: IntSeries, x: float) -> float:
-    return f.eval_at(x)
 
 
 def poch(sign: int, a: int, step: int, count: int | None, order: int) -> IntSeries:

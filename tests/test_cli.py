@@ -138,8 +138,22 @@ class TestNumericCommands:
             assert 0.5 < float(l.split(",")[1]) < 1.5
 
     def test_tauberian_underordered_is_error(self, capsys):
-        code, _ = invoke(capsys, "tauberian", "--t", "0.1", "--order", "100")
+        code, out = invoke(capsys, "tauberian", "--t", "0.1", "--order", "100")
         assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("t", ["0.3", "nan", "0"])
+    def test_tauberian_bad_t_leaves_no_stdout(self, capsys, t):
+        code, out = invoke(capsys, "tauberian", "--t", t, "--order", "100")
+        assert code == 2
+        assert out == ""
+
+    def test_hrr_overflow_is_integrity_failure(self, capsys):
+        code = run(["hrr", "--n", "200000", "--terms", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "numerical integrity failure" in captured.err
 
     def test_determinism(self, capsys):
         _, first = invoke(capsys, "series", "a-d", "--order", "30", "--format", "json")

@@ -15,7 +15,7 @@ from qmex.partitions import (
     two_colored_distinct_count,
 )
 from qmex.qfunctions import distinct_gen
-from qmex.series import INFINITE, invert, poch
+from qmex.series import INFINITE, poch
 
 
 def P(*parts, distinct=False):
@@ -64,7 +64,7 @@ class TestEnumeration:
             assert sum(1 for _ in enum_partitions(n, True)) == d.coefficient(n)
 
     def test_all_counts_match_generating_function(self):
-        p = invert(poch(-1, 1, 1, INFINITE, 40))
+        p = poch(-1, 1, 1, INFINITE, 40).invert()
         for n in range(41):
             assert sum(1 for _ in enum_partitions(n)) == p.coefficient(n)
 

@@ -5,14 +5,18 @@ uses one re-derives it from the oracle as well, so a regression in
 either side shows up as a disagreement rather than a stale constant.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmex.partitions import CountKind, StatKind, refined_count_oracle, stat_sum_oracle
 from qmex.qfunctions import (
     Form,
     RefinedKind,
+    _maex_slices,
     a_d_series,
     a_series,
     available_series,
@@ -29,7 +33,7 @@ from qmex.qfunctions import (
     sigma_series,
     sigma_star_series,
 )
-from qmex.series import make_series, mul
+from qmex.series import IntSeries, _div_binomial_inplace, _mul_binomial_inplace, make_series
 
 
 def fraction_sigma(order):
@@ -59,6 +63,63 @@ def fraction_sigma(order):
         n += 1
     assert all(v.denominator == 1 for v in total)
     return tuple(int(v) for v in total)
+
+
+def double_sum_sigma_d_maex(order):
+    """sum_{k>=1} k (-q;q)_{k-1} sum_{m>=1} q^{m(m+1)/2 + km}, summed k by k.
+
+    The prefix (-q;q)_{k-1} grows one factor per k and is added, shifted,
+    once per (k, m) pair: the reference for the Horner-form builder.
+    """
+    total = [0] * (order + 1)
+    pk = [1] + [0] * order  # (-q;q)_{k-1}, starts at k = 1
+    k = 1
+    while k + 1 <= order:
+        if k > 1:
+            _mul_binomial_inplace(pk, 1, k - 1)
+        m = 1
+        e = 1 + k
+        while e <= order:
+            for j in range(order + 1 - e):
+                v = pk[j]
+                if v:
+                    total[e + j] += k * v
+            m += 1
+            e = m * (m + 1) // 2 + k * m
+        k += 1
+    return tuple(total)
+
+
+def double_sum_chern(order):
+    """sum_{n>=1} n / (q;q)_{n-1} * sum_{m>=1} q^{m(n+1)} (-q;q)_{m-1}, summed n by n.
+
+    Each inner sum is multiplied by the prefix 1/(q;q)_{n-1} as a dense
+    product: the reference for the Horner-form builder.
+    """
+    total = [0] * (order + 1)
+    qn = [1] + [0] * order  # 1/(q;q)_{n-1}, starts at n = 1
+    n = 1
+    while n + 1 <= order:
+        if n > 1:
+            _div_binomial_inplace(qn, -1, n - 1)
+        inner = [0] * (order + 1)
+        pm = [1] + [0] * order  # (-q;q)_{m-1}
+        m = 1
+        while m * (n + 1) <= order:
+            if m > 1:
+                _mul_binomial_inplace(pm, 1, m - 1)
+            e = m * (n + 1)
+            for j in range(order + 1 - e):
+                v = pm[j]
+                if v:
+                    inner[e + j] += v
+            m += 1
+        prod = (IntSeries(qn) * IntSeries(inner)).coefficients()
+        for j, v in enumerate(prod):
+            if v:
+                total[j] += n * v
+        n += 1
+    return tuple(total)
 
 
 class TestSigma:
@@ -91,7 +152,7 @@ class TestSigmaStar:
         inner = [(-c if i % 2 else c) for i, c in enumerate(star)]
         inner[0] += 1
         assert tuple(inner) == (1, 2, -2, 2)
-        lhs = mul(make_series([1, 1, 1, 2], 3), make_series(inner, 3))
+        lhs = make_series([1, 1, 1, 2], 3) * make_series(inner, 3)
         assert lhs.coefficients() == (1, 3, 1, 4)
 
 
@@ -149,6 +210,16 @@ class TestDistinctFamilies:
         s = a_series(20)
         for n in range(21):
             assert s.coefficient(n) == refined_count_oracle(CountKind.ODD_MEX, 0, n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=300))
+    def test_sigma_d_maex_horner_matches_double_sum(self, order):
+        assert sigma_d_maex_series(order).coefficients() == double_sum_sigma_d_maex(order)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=0, max_value=120))
+    def test_chern_horner_matches_double_sum(self, order):
+        assert chern_sigma_maex_series(order).coefficients() == double_sum_chern(order)
 
     def test_maex_low_coefficients_vanish(self):
         s = sigma_d_maex_series(12)
@@ -224,6 +295,14 @@ class TestRefined:
                 want = sum(1 for p in enum_partitions(n, True) if maex(p) == k)
                 assert s.coefficient(n) == want
 
+    def test_running_prefix_maex_slices(self):
+        slices = list(_maex_slices(60))
+        assert [k for k, _ in slices] == list(range(1, 60))
+        for k, s in slices:
+            assert s == refined_series(RefinedKind.MAEX, k, 60)
+        # the generator stops where the slices vanish
+        assert not any(refined_series(RefinedKind.MAEX, 60, 60).coefficients())
+
     def test_index_validation(self):
         with pytest.raises(ValueError):
             refined_series(RefinedKind.MEX, 0, 5)
@@ -252,12 +331,13 @@ class TestCatalog:
         names = available_series()
         assert "sigma-d-mex" in names and "chern-sigma-maex" in names
         assert len(names) == len(set(names))
+        assert {name for name, _ in ROUTE_SHA256} == set(names)
 
     def test_build_named(self):
         named = build_named("sigma-d-mex", 7, Form.ALT1)
         assert named.name == "sigma-d-mex"
         assert named.form is Form.ALT1
-        assert named.order == 7
+        assert named.series.order == 7
         assert named.series.coefficients() == (1, 2, 1, 4, 3, 4, 8, 8)
 
     def test_unknown_name(self):
@@ -269,3 +349,33 @@ class TestCatalog:
             build_named("distinct", 5, Form.ALT1)
         with pytest.raises(ValueError):
             build_named("sigma", 5, Form.ALT2)
+
+
+# sha256 of ",".join(coefficients) for every catalogued route, order 500
+# (chern-sigma-maex 200), recorded before the builders were rewritten.
+ROUTE_SHA256 = {
+    ("a", "canonical"): "83e3abe3a22371011c3335ed17621767ec102d4bc1e227499685d42c7a27d719",
+    ("a-d", "alt1"): "f06d397fa790153564daddc411e98e396d1761060124ed3f62398697e15e19b8",
+    ("a-d", "canonical"): "f06d397fa790153564daddc411e98e396d1761060124ed3f62398697e15e19b8",
+    ("chern-sigma-maex", "canonical"): "1c5f6c8accd72b6e1ec28591c5a9718420c6d2eda6d23f3ec62fdc9b0c832069",
+    ("distinct", "canonical"): "6640251e9f26756101c438b760840139301f15432a94c6a97a693eb7795dfe80",
+    ("sigma", "alt1"): "b184e831c60ec5a4fcb243241f83bec9f9e0201b60344618b30e73e8bd32d8e8",
+    ("sigma", "canonical"): "b184e831c60ec5a4fcb243241f83bec9f9e0201b60344618b30e73e8bd32d8e8",
+    ("sigma-d-maex", "canonical"): "74dd184f51b7b7f84fbbd6a2ff77d11ad95105531601f9f392920ca6affbef9f",
+    ("sigma-d-mex", "alt1"): "833aed09ab0b2833679fcab5824f1f2eca08bf25b66d96ebc3306e178321ca10",
+    ("sigma-d-mex", "canonical"): "833aed09ab0b2833679fcab5824f1f2eca08bf25b66d96ebc3306e178321ca10",
+    ("sigma-d-moex", "alt1"): "1594f8f0fb31a21dfd7517c669286b9eecf4b8241c1d2350d6d70729222b1dc9",
+    ("sigma-d-moex", "alt2"): "1594f8f0fb31a21dfd7517c669286b9eecf4b8241c1d2350d6d70729222b1dc9",
+    ("sigma-d-moex", "canonical"): "1594f8f0fb31a21dfd7517c669286b9eecf4b8241c1d2350d6d70729222b1dc9",
+    ("sigma-l", "canonical"): "ea1d8729189d444dbb9de790b0015599664d1fa9ffd8e6e770202459417d1add",
+    ("sigma-mex", "canonical"): "bc25682ebf6973c655af5c1740f66effebd223c1c85781df62349324df6a13f3",
+    ("sigma-star", "canonical"): "df5a4613ebd3d69f76b9935345369c2da961efa20c52d0839e3bb369cfe7cf37",
+}
+
+
+@pytest.mark.parametrize("name,form", sorted(ROUTE_SHA256))
+def test_route_coefficients_pinned(name, form):
+    order = 200 if name == "chern-sigma-maex" else 500
+    coeffs = build_named(name, order, Form(form)).series.coefficients()
+    digest = hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest()
+    assert digest == ROUTE_SHA256[(name, form)]
