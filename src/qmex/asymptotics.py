@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qfunctions import distinct_gen, sigma_d_mex_series
+from .series import NumericalIntegrityError
 
 # Euler-Mascheroni constant, double precision.
 EULER_GAMMA = 0.5772156649015329
@@ -27,10 +28,6 @@ IMAG_TOLERANCE = 1e-9
 
 # Relative size at which the Bessel power series stops adding terms.
 _BESSEL_EPS = 1e-17
-
-
-class NumericalIntegrityError(ArithmeticError):
-    """An internal consistency bound was violated at evaluation time."""
 
 
 class AsymKind(enum.Enum):

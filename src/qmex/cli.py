@@ -77,9 +77,11 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     kind = StatKind(args.stat)
+    # top n first: an over-budget --n refuses before any enumeration
+    values = [stat_sum_oracle(kind, n, args.distinct) for n in range(args.n, -1, -1)]
     print("n,value")
-    for n in range(args.n + 1):
-        print(f"{n},{stat_sum_oracle(kind, n, args.distinct)}")
+    for n, value in enumerate(reversed(values)):
+        print(f"{n},{value}")
     return 0
 
 

@@ -446,10 +446,18 @@ def verify(name: str, order_or_nmax: Optional[int] = None) -> VerificationReport
 def verify_descriptor(
     desc: IdentityDescriptor, order_or_nmax: Optional[int] = None
 ) -> VerificationReport:
-    """Run every check of a descriptor; FAIL carries the smallest bad n."""
+    """Run every check of a descriptor; FAIL carries the smallest bad n.
+
+    Every oracle is evaluated at the top of the range first, so a range
+    beyond the enumeration budget raises ValueError before any series
+    is built or any smaller n is enumerated.
+    """
     rng = desc.default_range if order_or_nmax is None else order_or_nmax
     if rng < 0:
         raise ValueError("verification range must be non-negative")
+    for check in desc.checks:
+        if isinstance(check, OraclePair):
+            check.oracle(rng)
     worst: Optional[Mismatch] = None
     for check in desc.checks:
         if isinstance(check, SeriesPair):

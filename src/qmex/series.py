@@ -17,10 +17,15 @@ coefficient, so the truncated product is still exact.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 # Sentinel accepted by poch() for an unbounded product.
 INFINITE = None
+
+
+class NumericalIntegrityError(ArithmeticError):
+    """An internal consistency bound was violated at evaluation time."""
 
 
 class IntSeries:
@@ -174,12 +179,21 @@ class IntSeries:
         precision for any coefficient that fits in a float exponent.
         The open-interval restriction keeps the tail of the underlying
         series decaying, which is what makes the prefix meaningful.
+        A coefficient beyond float range raises NumericalIntegrityError
+        naming its index; a value that overflows to infinity raises it too.
         """
         if not 0.0 < x < 1.0:
             raise ValueError("evaluation point must lie in the open interval (0, 1)")
         acc = 0.0
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
+        for n in range(self.order, -1, -1):
+            try:
+                acc = acc * x + self._coeffs[n]
+            except OverflowError:
+                raise NumericalIntegrityError(
+                    f"coefficient {n} does not fit in a float"
+                ) from None
+        if math.isinf(acc):
+            raise NumericalIntegrityError(f"value at {x!r} overflows float range")
         return acc
 
 

@@ -155,6 +155,19 @@ class TestNumericCommands:
         assert captured.out == ""
         assert "numerical integrity failure" in captured.err
 
+    def test_eval_overflow_is_integrity_failure(self, capsys, monkeypatch):
+        from qmex import asymptotics
+        from qmex.series import IntSeries
+
+        monkeypatch.setattr(
+            asymptotics, "sigma_d_mex_series", lambda order: IntSeries([1] * order + [10**400])
+        )
+        code = run(["tauberian", "--t", "0.2", "--order", "200"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "coefficient 200 " in captured.err
+
     def test_determinism(self, capsys):
         _, first = invoke(capsys, "series", "a-d", "--order", "30", "--format", "json")
         _, second = invoke(capsys, "series", "a-d", "--order", "30", "--format", "json")

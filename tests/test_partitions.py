@@ -2,10 +2,16 @@
 
 import pytest
 
+from qmex import partitions
+from qmex.cli import run
+from qmex.identities import verify
 from qmex.partitions import (
+    CENSUS_BUDGET,
     CountKind,
     Partition,
     StatKind,
+    _census,
+    _stream_sizes,
     enum_partitions,
     maex,
     mex,
@@ -20,6 +26,52 @@ from qmex.series import INFINITE, poch
 
 def P(*parts, distinct=False):
     return Partition(tuple(parts), distinct)
+
+
+# ----------------------------------------------------------------------
+# the previous implementations, kept as references for the census and ZS1
+
+
+def recursive_partitions(n, distinct_only=False):
+    """The recursive generator both streams used before ZS1."""
+
+    def gen(remaining, cap, prefix):
+        if remaining == 0:
+            yield Partition(tuple(prefix), distinct_only)
+            return
+        for part in range(min(remaining, cap), 0, -1):
+            prefix.append(part)
+            yield from gen(remaining - part, part - 1 if distinct_only else part, prefix)
+            prefix.pop()
+
+    return gen(n, n, [])
+
+
+REFERENCE_STATS = {
+    StatKind.MEX: mex,
+    StatKind.MOEX: moex,
+    StatKind.MAEX: maex,
+    StatKind.LARGEST: lambda p: p.largest,
+}
+
+
+def reference_stat_sum(kind, n, distinct_only):
+    return sum(REFERENCE_STATS[kind](p) for p in recursive_partitions(n, distinct_only))
+
+
+def reference_refined_count(kind, index, n, distinct_only):
+    predicate = {
+        CountKind.MEX_EQ: lambda p: mex(p) == index,
+        CountKind.MEX_GT: lambda p: mex(p) > index,
+        CountKind.SMALLEST_GT: lambda p: all(part > index for part in p.parts),
+        CountKind.ODD_MEX: lambda p: mex(p) % 2 == 1,
+    }[kind]
+    return sum(1 for p in recursive_partitions(n, distinct_only) if predicate(p))
+
+
+def reference_two_colored(n):
+    d = [sum(1 for _ in recursive_partitions(j, True)) for j in range(n + 1)]
+    return sum(d[j] * d[n - j] for j in range(n + 1))
 
 
 class TestPartitionType:
@@ -39,6 +91,12 @@ class TestPartitionType:
 
     def test_repetition_allowed_when_not_distinct(self):
         assert P(2, 2, 1).parts == (2, 2, 1)
+
+    def test_bool_parts_rejected(self):
+        with pytest.raises(ValueError):
+            P(True)
+        with pytest.raises(ValueError):
+            Partition((2, True), distinct=True)
 
 
 class TestEnumeration:
@@ -67,6 +125,13 @@ class TestEnumeration:
         p = poch(-1, 1, 1, INFINITE, 40).invert()
         for n in range(41):
             assert sum(1 for _ in enum_partitions(n)) == p.coefficient(n)
+
+    @pytest.mark.parametrize("distinct_only", [False, True])
+    def test_streams_equal_recursive_generator(self, distinct_only):
+        for n in range(31):
+            assert list(enum_partitions(n, distinct_only)) == list(
+                recursive_partitions(n, distinct_only)
+            ), n
 
 
 class TestStatistics:
@@ -176,3 +241,71 @@ class TestOracles:
             refined_count_oracle(CountKind.MEX_EQ, 1, -1)
         with pytest.raises(ValueError):
             two_colored_distinct_count(-2)
+
+
+class TestCensus:
+    @pytest.mark.parametrize("distinct_only", [False, True])
+    def test_stat_sums_equal_reference(self, distinct_only):
+        for n in range(25):
+            for kind in StatKind:
+                want = reference_stat_sum(kind, n, distinct_only)
+                assert stat_sum_oracle(kind, n, distinct_only) == want, (kind, n)
+
+    @pytest.mark.parametrize("distinct_only", [False, True])
+    def test_refined_counts_equal_reference(self, distinct_only):
+        for n in range(25):
+            for kind in CountKind:
+                for index in range(7):
+                    want = reference_refined_count(kind, index, n, distinct_only)
+                    got = refined_count_oracle(kind, index, n, distinct_only)
+                    assert got == want, (kind, index, n)
+
+    def test_two_colored_equals_reference(self):
+        for n in range(26):
+            assert two_colored_distinct_count(n) == reference_two_colored(n), n
+
+    def test_stream_sizes_match_generating_functions(self):
+        for distinct_only, gf in ((False, lambda o: poch(-1, 1, 1, INFINITE, o).invert()),
+                                  (True, distinct_gen)):
+            sizes = _stream_sizes(distinct_only)
+            assert sizes[-2] <= CENSUS_BUDGET < sizes[-1]
+            assert list(sizes) == list(gf(len(sizes) - 1).coefficients())
+
+    def test_budget_boundary(self):
+        for distinct_only in (False, True):
+            over = len(_stream_sizes(distinct_only)) - 1
+            with pytest.raises(ValueError, match="budget"):
+                stat_sum_oracle(StatKind.MEX, over, distinct_only)
+
+
+class TestOverBudgetRefused:
+    """Over-budget ranges exit 2 with empty stdout and enumerate nothing."""
+
+    @pytest.fixture(autouse=True)
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"enumerated {args}")
+
+        _census.cache_clear()
+        monkeypatch.setattr(partitions, "enum_partitions", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--all", "--oracle-max", "300"],
+            ["oracle", "mex", "--n", "300"],
+            ["verify", "--identity", "a-d-oracle", "--oracle-max", "300"],
+        ],
+    )
+    def test_cli_exits_2(self, capsys, argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "budget" in captured.err
+
+    def test_library_raises(self):
+        with pytest.raises(ValueError, match="budget"):
+            verify("a-d-oracle", 300)
+        with pytest.raises(ValueError, match="budget"):
+            two_colored_distinct_count(300)

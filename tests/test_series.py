@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmex import asymptotics
 from qmex.series import (
     INFINITE,
     IntSeries,
+    NumericalIntegrityError,
     make_series,
     one,
     poch,
@@ -133,6 +135,15 @@ class TestEval:
         # prefix of 1/(1-q) at x=1/2 approaches 2 with error 2^-order
         s = make_series([1, -1] + [0] * 48, 49).invert()
         assert abs(s.eval_at(0.5) - 2.0) < 2.0 ** -48
+
+    def test_float_overflow_is_integrity_error(self):
+        assert asymptotics.NumericalIntegrityError is NumericalIntegrityError
+        with pytest.raises(NumericalIntegrityError, match="coefficient 0 "):
+            IntSeries([10**400]).eval_at(0.5)
+        with pytest.raises(NumericalIntegrityError, match="coefficient 2 "):
+            IntSeries([1, 2, -(10**400), 4]).eval_at(0.5)
+        with pytest.raises(NumericalIntegrityError, match="overflows"):
+            IntSeries([10**308, 10**308]).eval_at(0.99)
 
 
 class TestPoch:
