@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +29,10 @@ IMAG_TOLERANCE = 1e-9
 
 # Relative size at which the Bessel power series stops adding terms.
 _BESSEL_EPS = 1e-17
+
+# Most terms hrr_sigma_mex accepts: its cost grows as terms^3, and 35
+# terms take about a second (2-core x86-64 VM, Python 3.11).
+HRR_MAX_TERMS = 35
 
 
 class AsymKind(enum.Enum):
@@ -126,13 +131,16 @@ def hrr_sigma_mex(n: int, terms: int) -> HrrResult:
               * I_1(pi sqrt(2 (n + 1/12)) / (sqrt(3) (2k-1)))
 
     The returned residual is the distance to the nearest integer, which
-    for moderate n already identifies the exact coefficient. A partial
-    sum beyond float range raises NumericalIntegrityError.
+    for moderate n already identifies the exact coefficient. More than
+    HRR_MAX_TERMS terms raise ValueError before any work; an n or a
+    partial sum beyond float range raises NumericalIntegrityError.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if terms < 1:
-        raise ValueError("need at least one term")
+    if not 1 <= terms <= HRR_MAX_TERMS:
+        raise ValueError(f"terms must lie in 1..{HRR_MAX_TERMS}, got {terms}")
+    if n > sys.float_info.max:
+        raise NumericalIntegrityError("n is beyond float range")
     shifted = n + 1.0 / 12.0
     prefactor = math.pi / (2.0 * math.sqrt(6.0 * shifted))
     arg_top = math.pi * math.sqrt(2.0 * shifted) / math.sqrt(3.0)
@@ -158,19 +166,24 @@ def asym_value(kind: AsymKind, n: int) -> float:
     SIGMA_MEX    exp(pi sqrt(2n/3)) / (4 (6 n^3)^(1/4))
     SIGMA_D_MEX  exp(pi sqrt(n/3)) / (2 (3 n^3)^(1/4))
     SIGMA_L      (log(6n/pi^2) + 2 gamma) / (4 pi sqrt(2n)) * exp(pi sqrt(2n/3))
+
+    A value beyond float range raises NumericalIntegrityError.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if kind is AsymKind.SIGMA_MEX:
-        return math.exp(math.pi * math.sqrt(2.0 * n / 3.0)) / (4.0 * (6.0 * n**3) ** 0.25)
-    if kind is AsymKind.SIGMA_D_MEX:
-        return math.exp(math.pi * math.sqrt(n / 3.0)) / (2.0 * (3.0 * n**3) ** 0.25)
-    if kind is AsymKind.SIGMA_L:
-        return (
-            (math.log(6.0 * n / math.pi**2) + 2.0 * EULER_GAMMA)
-            / (4.0 * math.pi * math.sqrt(2.0 * n))
-            * math.exp(math.pi * math.sqrt(2.0 * n / 3.0))
-        )
+    try:
+        if kind is AsymKind.SIGMA_MEX:
+            return math.exp(math.pi * math.sqrt(2.0 * n / 3.0)) / (4.0 * (6.0 * n**3) ** 0.25)
+        if kind is AsymKind.SIGMA_D_MEX:
+            return math.exp(math.pi * math.sqrt(n / 3.0)) / (2.0 * (3.0 * n**3) ** 0.25)
+        if kind is AsymKind.SIGMA_L:
+            return (
+                (math.log(6.0 * n / math.pi**2) + 2.0 * EULER_GAMMA)
+                / (4.0 * math.pi * math.sqrt(2.0 * n))
+                * math.exp(math.pi * math.sqrt(2.0 * n / 3.0))
+            )
+    except OverflowError:
+        raise NumericalIntegrityError(f"{kind.value} growth exceeds float range") from None
     raise ValueError(f"unknown asymptotic kind {kind!r}")
 
 
@@ -193,8 +206,12 @@ def required_order(t: float) -> int:
 
     The summand peaks near pi^2/(6 t^2); 8/t^2 clears the peak with a
     tail that is exponentially negligible at the comparison precision.
+    A t so small that 8/t^2 is not a finite float raises ValueError.
     """
-    return math.ceil(8.0 / (t * t))
+    try:
+        return math.ceil(8.0 / (t * t))
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"t = {t!r} is too small for a finite truncation order") from None
 
 
 def tauberian_ratio(t: float, order: int) -> float:

@@ -17,16 +17,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import count, takewhile
+from itertools import combinations, count, takewhile
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .partitions import CountKind, StatKind, refined_count_oracle, stat_sum_oracle, two_colored_distinct_count
 from .qfunctions import (
     Form,
     RefinedKind,
+    _CATALOGUE,
     _maex_slices,
     a_d_series,
     a_series,
+    build_named,
     chern_sigma_maex_series,
     dcount_series,
     distinct_gen,
@@ -36,7 +38,6 @@ from .qfunctions import (
     sigma_d_mex_series,
     sigma_d_moex_series,
     sigma_mex_series,
-    sigma_series,
 )
 from .series import INFINITE, IntSeries, one, poch, zero
 
@@ -137,6 +138,11 @@ def _mex_slices(order: int, weighted: bool) -> Iterator[tuple[int, IntSeries]]:
         yield (m if weighted else 1), refined_series(RefinedKind.MEX, m, order)
 
 
+def _route(name: str, form: Form) -> SeriesBuilder:
+    """One form of a catalogued series, looked up by name at call time."""
+    return lambda o: build_named(name, o, form).series
+
+
 def _shifted_smallest_gt(i: int) -> Oracle:
     t = i * (i + 1) // 2
 
@@ -146,10 +152,6 @@ def _shifted_smallest_gt(i: int) -> Oracle:
         return refined_count_oracle(CountKind.SMALLEST_GT, i, n - t, True)
 
     return oracle
-
-
-def _mex_sum_all(n: int) -> int:
-    return stat_sum_oracle(StatKind.MEX, n)
 
 
 def _odd_mex_count_all(n: int) -> int:
@@ -172,55 +174,40 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
     def so(name: str, statement: str, *checks: Check, rng: int) -> None:
         entries.append(IdentityDescriptor(name, _SO, tuple(checks), rng, statement))
 
-    ss(
+    def enumerated(series: SeriesBuilder, oracle: Oracle) -> OraclePair:
+        return OraclePair("series-vs-enumeration", series, oracle)
+
+    def forms_agree(name: str, series: str, statement: str) -> None:
+        """Register every pair of the catalogued forms of series, in catalogue order."""
+        checks = (
+            SeriesPair(f"{a.value}-vs-{b.value}", _route(series, a), _route(series, b))
+            for a, b in combinations(_CATALOGUE[series][1], 2)
+        )
+        ss(name, statement, *checks)
+
+    forms_agree(
         "thm-sigma-d-mex",
+        "sigma-d-mex",
         "mex-sum over distinct partitions: (-q;q)_inf sigma(q) "
         "= (-q;q)_inf sum_{m>=1} m q^(m(m-1)/2)/(-q;q)_m",
-        SeriesPair(
-            "canonical-vs-alt1",
-            lambda o: sigma_d_mex_series(o, Form.CANONICAL),
-            lambda o: sigma_d_mex_series(o, Form.ALT1),
-        ),
     )
-    ss(
+    forms_agree(
         "sigma-sum-identity",
+        "sigma",
         "sum_{n>=0} q^(n(n+1)/2)/(-q;q)_n = sum_{m>=1} m q^(m(m-1)/2)/(-q;q)_m",
-        SeriesPair(
-            "canonical-vs-alt1",
-            lambda o: sigma_series(o, Form.CANONICAL),
-            lambda o: sigma_series(o, Form.ALT1),
-        ),
     )
-    ss(
+    forms_agree(
         "a-d-form-equivalence",
+        "a-d",
         "odd-mex count over distinct partitions: alternating triangular sum "
         "= sum over q^(n(2n+1))/(-q;q)_(2n+1)",
-        SeriesPair(
-            "canonical-vs-alt1",
-            lambda o: a_d_series(o, Form.CANONICAL),
-            lambda o: a_d_series(o, Form.ALT1),
-        ),
     )
-    ss(
+    forms_agree(
         "moex-form-equivalence",
+        "sigma-d-moex",
         "moex-sum over distinct partitions: q^(n^2)/(-q;q^2)_n sum "
         "= alternating q^n (q^2;q^2)_(n-1) sum = 1 + sigma_star(-q), "
         "all times (-q;q)_inf",
-        SeriesPair(
-            "canonical-vs-alt1",
-            lambda o: sigma_d_moex_series(o, Form.CANONICAL),
-            lambda o: sigma_d_moex_series(o, Form.ALT1),
-        ),
-        SeriesPair(
-            "canonical-vs-alt2",
-            lambda o: sigma_d_moex_series(o, Form.CANONICAL),
-            lambda o: sigma_d_moex_series(o, Form.ALT2),
-        ),
-        SeriesPair(
-            "alt1-vs-alt2",
-            lambda o: sigma_d_moex_series(o, Form.ALT1),
-            lambda o: sigma_d_moex_series(o, Form.ALT2),
-        ),
     )
     ss(
         "euler-identity",
@@ -310,75 +297,51 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         "sigma-mex-equals-d2-oracle",
         "mex-sum over all partitions of n = number of two-colored "
         "distinct-part partition pairs of total weight n = [q^n] (-q;q)_inf^2",
-        OraclePair("series-vs-mex-sum", sigma_mex_series, _mex_sum_all),
+        OraclePair("series-vs-mex-sum", sigma_mex_series, lambda n: stat_sum_oracle(StatKind.MEX, n)),
         OraclePair("series-vs-pair-count", sigma_mex_series, two_colored_distinct_count),
         rng=30,
     )
     so(
         "sigma-d-mex-oracle",
         "[q^n] (-q;q)_inf sigma(q) = mex-sum over distinct partitions of n",
-        OraclePair(
-            "series-vs-enumeration",
-            sigma_d_mex_series,
-            lambda n: stat_sum_oracle(StatKind.MEX, n, True),
-        ),
+        enumerated(sigma_d_mex_series, lambda n: stat_sum_oracle(StatKind.MEX, n, True)),
         rng=40,
     )
     so(
         "a-d-oracle",
         "[q^n] odd-mex series = count of distinct partitions of n with odd mex",
-        OraclePair(
-            "series-vs-enumeration",
-            a_d_series,
-            lambda n: refined_count_oracle(CountKind.ODD_MEX, 0, n, True),
-        ),
+        enumerated(a_d_series, lambda n: refined_count_oracle(CountKind.ODD_MEX, 0, n, True)),
         rng=40,
     )
     so(
         "sigma-d-moex-oracle",
         "[q^n] moex series = moex-sum over distinct partitions of n",
-        OraclePair(
-            "series-vs-enumeration",
-            sigma_d_moex_series,
-            lambda n: stat_sum_oracle(StatKind.MOEX, n, True),
-        ),
+        enumerated(sigma_d_moex_series, lambda n: stat_sum_oracle(StatKind.MOEX, n, True)),
         rng=40,
     )
     so(
         "sigma-d-maex-oracle",
         "[q^n] maex double sum = maex-sum over distinct partitions of n",
-        OraclePair(
-            "series-vs-enumeration",
-            sigma_d_maex_series,
-            lambda n: stat_sum_oracle(StatKind.MAEX, n, True),
-        ),
+        enumerated(sigma_d_maex_series, lambda n: stat_sum_oracle(StatKind.MAEX, n, True)),
         rng=40,
     )
     so(
         "chern-sigma-maex-oracle",
         "[q^n] maex double sum over all partitions = maex-sum over all partitions",
-        OraclePair(
-            "series-vs-enumeration",
-            chern_sigma_maex_series,
-            lambda n: stat_sum_oracle(StatKind.MAEX, n),
-        ),
+        enumerated(chern_sigma_maex_series, lambda n: stat_sum_oracle(StatKind.MAEX, n)),
         rng=30,
     )
     so(
         "sigma-l-oracle",
         "[q^n] sum_m m q^m/(q;q)_m = largest-part sum over all partitions of n",
-        OraclePair(
-            "series-vs-enumeration",
-            sigma_L_series,
-            lambda n: stat_sum_oracle(StatKind.LARGEST, n),
-        ),
+        enumerated(sigma_L_series, lambda n: stat_sum_oracle(StatKind.LARGEST, n)),
         rng=30,
     )
     so(
         "a-series-oracle-gate",
         "[q^n] odd-mex series over all partitions = count of partitions of n "
         "with odd mex",
-        OraclePair("series-vs-enumeration", a_series, _odd_mex_count_all),
+        enumerated(a_series, _odd_mex_count_all),
         rng=35,
     )
     so(

@@ -15,6 +15,10 @@ exponent is at most the truncation order. The two maex double sums are
 evaluated in Horner form, innermost factor first, so neither needs a
 dense product.
 
+Every builder is served from one store: the longest series built per
+key serves each lower order by slicing. clear_cache() empties it, and
+each builder's cache_info() counts its hits and misses.
+
 Naming follows the statistics themselves: mex is the least missing
 part, moex the least missing odd part, maex the largest missing value
 below the largest part. The sigma_d_* builders sum a statistic over
@@ -25,10 +29,12 @@ partitions.
 from __future__ import annotations
 
 import enum
+import inspect
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 from itertools import chain, count
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .series import (
     INFINITE,
@@ -66,13 +72,64 @@ class NamedSeries:
     series: IntSeries
 
 
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise ValueError("order must be non-negative")
+# Calls of one builder served from the store (hits) and built (misses).
+CacheInfo = namedtuple("CacheInfo", "hits misses")
+
+# The longest series built so far per (builder, arguments other than order).
+_STORE: dict[tuple, IntSeries] = {}
+_COUNTS: dict[str, list[int]] = {}  # builder -> [hits, misses]
+# Catalogued name -> (builder, forms); no forms means no form parameter.
+_CATALOGUE: dict[str, tuple[Callable[..., IntSeries], tuple[Form, ...]]] = {}
 
 
 def _bad_form(name: str, form: Form) -> ValueError:
     return ValueError(f"{name} has no form {form.value!r}")
+
+
+def _builder(name: str | None = None, forms: tuple[Form, ...] = ()):
+    """Serve a series builder from _STORE and catalogue it under name.
+
+    A negative order or a form outside forms raises before the store is
+    read. A call at the stored order returns the stored series itself, a
+    lower order a slice of it, and a higher order builds and replaces it.
+    """
+
+    def decorate(fn: Callable[..., IntSeries]) -> Callable[..., IntSeries]:
+        sig = inspect.signature(fn)
+        counts = _COUNTS[fn.__name__] = [0, 0]
+
+        @wraps(fn)
+        def builder(*args, **kwargs) -> IntSeries:
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            params = bound.arguments
+            order = params.pop("order")
+            if order < 0:
+                raise ValueError("order must be non-negative")
+            if forms and params["form"] not in forms:
+                raise _bad_form(name, params["form"])
+            key = (fn.__name__, *params.values())
+            stored = _STORE.get(key)
+            if stored is None or stored.order < order:
+                counts[1] += 1
+                stored = _STORE[key] = fn(*args, **kwargs)
+            else:
+                counts[0] += 1
+            return stored if stored.order == order else IntSeries(stored.coefficients()[: order + 1])
+
+        builder.cache_info = lambda: CacheInfo(*counts)
+        if name is not None:
+            _CATALOGUE[name] = (builder, forms)
+        return builder
+
+    return decorate
+
+
+def clear_cache() -> None:
+    """Empty the series store and zero every builder's hit and miss counts."""
+    _STORE.clear()
+    for counts in _COUNTS.values():
+        counts[:] = [0, 0]
 
 
 # One step (w_n, a_n, binomials) of a partial sum; see _partial_sum.
@@ -123,7 +180,7 @@ def _triangular_steps(sign: int) -> Iterator[_Step]:
 # Ramanujan's sigma and sigma-star
 
 
-@lru_cache(maxsize=None)
+@_builder("sigma", (Form.CANONICAL, Form.ALT1))
 def sigma_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     """Ramanujan's sigma series, truncated.
 
@@ -132,19 +189,15 @@ def sigma_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     1 + q - q^2 + 2q^3 - 2q^4 + q^5 + ...; their equality is one of the
     registered identities.
     """
-    _check_order(order)
     if form is Form.CANONICAL:
         return IntSeries(_partial_sum(order, _triangular_steps(1)))
-    if form is Form.ALT1:
-        # t_m = q^{m(m-1)/2} / (-q;q)_m, ratio q^{m-1} / (1 + q^m)
-        return IntSeries(_partial_sum(order, ((m, m - 1, ((1, m, -1),)) for m in count(1))))
-    raise _bad_form("sigma", form)
+    # t_m = q^{m(m-1)/2} / (-q;q)_m, ratio q^{m-1} / (1 + q^m)
+    return IntSeries(_partial_sum(order, ((m, m - 1, ((1, m, -1),)) for m in count(1))))
 
 
-@lru_cache(maxsize=None)
+@_builder("sigma-star")
 def sigma_star_series(order: int) -> IntSeries:
     """Companion series 2 * sum_{n>=1} (-1)^n q^{n^2} / (q;q^2)_n."""
-    _check_order(order)
     # t_n = q^{n^2} / (q;q^2)_n, ratio q^{2n-1} / (1 - q^{2n-1})
     steps = ((2 * (-1) ** n, 2 * n - 1, ((-1, 2 * n - 1, -1),)) for n in count(1))
     return IntSeries(_partial_sum(order, steps))
@@ -154,13 +207,13 @@ def sigma_star_series(order: int) -> IntSeries:
 # distinct-part machinery
 
 
-@lru_cache(maxsize=None)
+@_builder("distinct")
 def distinct_gen(order: int) -> IntSeries:
     """(-q;q)_inf prefix: coefficient n counts partitions of n into distinct parts."""
     return poch(1, 1, 1, INFINITE, order)
 
 
-@lru_cache(maxsize=None)
+@_builder("sigma-d-mex", (Form.CANONICAL, Form.ALT1))
 def sigma_d_mex_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     """Generating function of the mex-sum over distinct-part partitions.
 
@@ -169,15 +222,10 @@ def sigma_d_mex_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     mex over all partitions of n into distinct parts, which the oracle
     checks directly.
     """
-    _check_order(order)
-    if form is Form.CANONICAL:
-        return distinct_gen(order) * sigma_series(order, Form.CANONICAL)
-    if form is Form.ALT1:
-        return distinct_gen(order) * sigma_series(order, Form.ALT1)
-    raise _bad_form("sigma-d-mex", form)
+    return distinct_gen(order) * sigma_series(order, form)
 
 
-@lru_cache(maxsize=None)
+@_builder("sigma-mex")
 def sigma_mex_series(order: int) -> IntSeries:
     """Mex-sum over all partitions: (-q;q)_inf squared.
 
@@ -188,29 +236,26 @@ def sigma_mex_series(order: int) -> IntSeries:
     return d * d
 
 
-@lru_cache(maxsize=None)
+@_builder("a-d", (Form.CANONICAL, Form.ALT1))
 def a_d_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     """Count of distinct-part partitions with odd mex.
 
     CANONICAL: (-q;q)_inf * sum_{n>=0} (-1)^n q^{n(n+1)/2} / (-q;q)_n.
     ALT1:      (-q;q)_inf * sum_{n>=0} q^{n(2n+1)} / (-q;q)_{2n+1}.
     """
-    _check_order(order)
     if form is Form.CANONICAL:
         inner = _partial_sum(order, _triangular_steps(-1))
-    elif form is Form.ALT1:
+    else:
         # t_0 = 1/(1+q), then ratio q^{4n-1} / ((1+q^{2n})(1+q^{2n+1}))
         steps = chain(
             [(1, 0, ((1, 1, -1),))],
             ((1, 4 * n - 1, ((1, 2 * n, -1), (1, 2 * n + 1, -1))) for n in count(1)),
         )
         inner = _partial_sum(order, steps)
-    else:
-        raise _bad_form("a-d", form)
     return distinct_gen(order) * IntSeries(inner)
 
 
-@lru_cache(maxsize=None)
+@_builder("sigma-d-moex", (Form.CANONICAL, Form.ALT1, Form.ALT2))
 def sigma_d_moex_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     """Sum of the smallest odd excludant over distinct-part partitions.
 
@@ -220,7 +265,6 @@ def sigma_d_moex_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     ALT1       (-q;q)_inf * (1 + 2 sum_{n>=1} (-1)^{n-1} q^n (q^2;q^2)_{n-1})
     ALT2       (-q;q)_inf * (1 + sigma_star(-q))
     """
-    _check_order(order)
     if form is Form.CANONICAL:
         # ratio q^{2n-1} / (1 + q^{2n-1})
         steps = ((2, 2 * n - 1, ((1, 2 * n - 1, -1),)) for n in count(1))
@@ -233,12 +277,10 @@ def sigma_d_moex_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
             for n in count(1)
         )
         inner = _partial_sum(order, chain([_FIRST], steps))
-    elif form is Form.ALT2:
+    else:
         star = sigma_star_series(order).coefficients()
         inner = [(-c if j % 2 else c) for j, c in enumerate(star)]  # q -> -q
         inner[0] += 1
-    else:
-        raise _bad_form("sigma-d-moex", form)
     return distinct_gen(order) * IntSeries(inner)
 
 
@@ -277,7 +319,7 @@ def _maex_slices(order: int) -> Iterator[tuple[int, IntSeries]]:
         yield k, IntSeries(prefix) * _maex_theta(k, order)
 
 
-@lru_cache(maxsize=None)
+@_builder("sigma-d-maex")
 def sigma_d_maex_series(order: int) -> IntSeries:
     """Sum of the maximal excludant over distinct-part partitions.
 
@@ -287,7 +329,6 @@ def sigma_d_maex_series(order: int) -> IntSeries:
     beyond), acc <- acc (1 + q^k) + k T_k with T_k added sparsely:
     O(order^2). Constant and linear coefficients are zero.
     """
-    _check_order(order)
     acc = [0] * (order + 1)
     for k in range(order - 1, 0, -1):
         _mul_binomial_inplace(acc, 1, k)
@@ -296,7 +337,7 @@ def sigma_d_maex_series(order: int) -> IntSeries:
     return IntSeries(acc)
 
 
-@lru_cache(maxsize=None)
+@_builder("chern-sigma-maex")
 def chern_sigma_maex_series(order: int) -> IntSeries:
     """Sum of the maximal excludant over all partitions.
 
@@ -307,7 +348,6 @@ def chern_sigma_maex_series(order: int) -> IntSeries:
     a partial sum of about order/n terms: O(order^2 log order) binomial
     kernels and no dense product.
     """
-    _check_order(order)
     acc = [0] * (order + 1)
     for n in range(order - 1, 0, -1):
         _div_binomial_inplace(acc, -1, n)
@@ -321,7 +361,7 @@ def chern_sigma_maex_series(order: int) -> IntSeries:
 # refined families and single-statistic slices
 
 
-@lru_cache(maxsize=None)
+@_builder()
 def refined_series(kind: RefinedKind, index: int, order: int) -> IntSeries:
     """Distinct-part partitions refined by the value of one statistic.
 
@@ -337,33 +377,27 @@ def refined_series(kind: RefinedKind, index: int, order: int) -> IntSeries:
     Weighted sums of these slices reproduce the aggregate series, which
     the identity registry checks.
     """
-    _check_order(order)
+    first = 1 if kind in (RefinedKind.MEX, RefinedKind.MAEX) else 0
+    if index < first:
+        raise ValueError(f"{kind.value} slice index must be >= {first}")
     if kind is RefinedKind.MEX:
-        if index < 1:
-            raise ValueError("mex slice index must be >= 1")
         base = index * (index - 1) // 2
         return poch(1, index + 1, 1, INFINITE, order).scale_shift(1, base)
     if kind is RefinedKind.OMEX:
-        if index < 0:
-            raise ValueError("omex slice index must be >= 0")
         base = index * (2 * index + 1)
         return poch(1, 2 * index + 2, 1, INFINITE, order).scale_shift(1, base)
     if kind is RefinedKind.MOEX:
-        if index < 0:
-            raise ValueError("moex slice index must be >= 0")
         c = list(distinct_gen(order).coefficients())
         _shift_inplace(c, index * index)
         for j in range(index + 1):
             _div_binomial_inplace(c, 1, 2 * j + 1)
         return IntSeries(c)
     if kind is RefinedKind.MAEX:
-        if index < 1:
-            raise ValueError("maex slice index must be >= 1")
         return poch(1, 1, 1, index - 1, order) * _maex_theta(index, order)
     raise ValueError(f"unknown refined kind {kind!r}")
 
 
-@lru_cache(maxsize=None)
+@_builder()
 def dcount_series(i: int, order: int) -> IntSeries:
     """Distinct-part partitions whose mex exceeds i: q^{i(i+1)/2} (-q^{i+1};q)_inf.
 
@@ -372,11 +406,10 @@ def dcount_series(i: int, order: int) -> IntSeries:
     """
     if i < 0:
         raise ValueError("index must be >= 0")
-    _check_order(order)
     return poch(1, i + 1, 1, INFINITE, order).scale_shift(1, i * (i + 1) // 2)
 
 
-@lru_cache(maxsize=None)
+@_builder("a")
 def a_series(order: int) -> IntSeries:
     """Count of all partitions of n with odd mex.
 
@@ -386,7 +419,6 @@ def a_series(order: int) -> IntSeries:
     over triangular numbers; the 1/(q;q)_inf factor is one series
     inversion.
     """
-    _check_order(order)
     sparse = [0] * (order + 1)
     m = 1
     while m * (m - 1) // 2 <= order:
@@ -398,10 +430,9 @@ def a_series(order: int) -> IntSeries:
     return all_parts * IntSeries(sparse)
 
 
-@lru_cache(maxsize=None)
+@_builder("sigma-l")
 def sigma_L_series(order: int) -> IntSeries:
     """Sum of the largest part over all partitions: sum_{m>=1} m q^m / (q;q)_m."""
-    _check_order(order)
     # t_m = q^m / (q;q)_m, ratio q / (1 - q^m)
     return IntSeries(_partial_sum(order, ((m, 1, ((-1, m, -1),)) for m in count(1))))
 
@@ -409,37 +440,17 @@ def sigma_L_series(order: int) -> IntSeries:
 # ----------------------------------------------------------------------
 # catalog for the command line and other callers working from names
 
-_PLAIN = {
-    "sigma-star": sigma_star_series,
-    "distinct": distinct_gen,
-    "sigma-mex": sigma_mex_series,
-    "sigma-d-maex": sigma_d_maex_series,
-    "chern-sigma-maex": chern_sigma_maex_series,
-    "a": a_series,
-    "sigma-l": sigma_L_series,
-}
-
-_FORMED = {
-    "sigma": (sigma_series, (Form.CANONICAL, Form.ALT1)),
-    "sigma-d-mex": (sigma_d_mex_series, (Form.CANONICAL, Form.ALT1)),
-    "a-d": (a_d_series, (Form.CANONICAL, Form.ALT1)),
-    "sigma-d-moex": (sigma_d_moex_series, (Form.CANONICAL, Form.ALT1, Form.ALT2)),
-}
-
 
 def available_series() -> tuple[str, ...]:
-    return tuple(sorted(_PLAIN) + sorted(_FORMED))
+    """Catalogued names: those without forms, then those with, each sorted."""
+    return tuple(sorted(_CATALOGUE, key=lambda name: (bool(_CATALOGUE[name][1]), name)))
 
 
 def build_named(name: str, order: int, form: Form = Form.CANONICAL) -> NamedSeries:
     """Build a cataloged series by name; unknown names raise KeyError."""
-    if name in _PLAIN:
-        if form is not Form.CANONICAL:
-            raise _bad_form(name, form)
-        return NamedSeries(name, Form.CANONICAL, _PLAIN[name](order))
-    if name in _FORMED:
-        builder, forms = _FORMED[name]
-        if form not in forms:
-            raise _bad_form(name, form)
-        return NamedSeries(name, form, builder(order, form))
-    raise KeyError(f"no series named {name!r}")
+    if name not in _CATALOGUE:
+        raise KeyError(f"no series named {name!r}")
+    builder, forms = _CATALOGUE[name]
+    if not forms and form is not Form.CANONICAL:
+        raise _bad_form(name, form)
+    return NamedSeries(name, form, builder(order, form) if forms else builder(order))

@@ -34,7 +34,7 @@ from qmex.qfunctions import (
     a_d_series,
     a_series,
     chern_sigma_maex_series,
-    distinct_gen,
+    clear_cache,
     sigma_L_series,
     sigma_d_maex_series,
     sigma_d_mex_series,
@@ -169,9 +169,7 @@ def test_c07_hrr_and_reciprocity():
 
 
 def test_c08_asymptotic_ratio_at_2000():
-    sigma_d_mex_series.cache_clear()
-    sigma_series.cache_clear()
-    distinct_gen.cache_clear()
+    clear_cache()
     t0 = time.monotonic()
     s = sigma_d_mex_series(2000)
     elapsed = time.monotonic() - t0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qmex.asymptotics import (
     EULER_GAMMA,
+    HRR_MAX_TERMS,
     AsymKind,
     HrrResult,
     NumericalIntegrityError,
@@ -168,6 +169,8 @@ class TestHrr:
             hrr_sigma_mex(0, 3)
         with pytest.raises(ValueError):
             hrr_sigma_mex(3, 0)
+        with pytest.raises(ValueError):
+            hrr_sigma_mex(3, HRR_MAX_TERMS + 1)
 
 
 class TestAsymValue:

@@ -1,6 +1,9 @@
 """Tests for the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -155,6 +158,33 @@ class TestNumericCommands:
         assert captured.out == ""
         assert "numerical integrity failure" in captured.err
 
+    def test_asym_overflow_is_integrity_failure(self, capsys):
+        code, out = invoke(capsys, "asym", "--kind", "sigma-mex", "--n", "100000")
+        assert code == 1
+        assert out == ""
+
+    def test_hrr_n_beyond_float_is_integrity_failure(self, capsys):
+        code, out = invoke(capsys, "hrr", "--n", "1" + "0" * 400, "--terms", "1")
+        assert code == 1
+        assert out == ""
+
+    def test_tauberian_underflowing_t_is_usage_error(self, capsys):
+        code, out = invoke(capsys, "tauberian", "--t", "1e-300", "--order", "5")
+        assert code == 2
+        assert out == ""
+
+    def test_hrr_terms_over_cap_refused_before_work(self, capsys, monkeypatch):
+        from qmex import asymptotics
+
+        def no_work(*args):
+            raise AssertionError("kloosterman_A called")
+
+        monkeypatch.setattr(asymptotics, "kloosterman_A", no_work)
+        terms = str(asymptotics.HRR_MAX_TERMS + 1)
+        code, out = invoke(capsys, "hrr", "--n", "30", "--terms", terms)
+        assert code == 2
+        assert out == ""
+
     def test_eval_overflow_is_integrity_failure(self, capsys, monkeypatch):
         from qmex import asymptotics
         from qmex.series import IntSeries
@@ -219,6 +249,18 @@ class TestExportCommand:
 
 
 class TestTopLevel:
+    def test_python_m_qmex(self):
+        import qmex
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qmex.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmex", "--version"], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == f"qmex {__version__}"
+        assert proc.stderr == ""
+
     def test_unknown_command(self, capsys):
         code, _ = invoke(capsys, "spectralize")
         assert code == 2

@@ -15,7 +15,8 @@ from qmex.identities import (
     verify,
     verify_descriptor,
 )
-from qmex.qfunctions import sigma_d_mex_series
+from qmex import qfunctions
+from qmex.qfunctions import Form, sigma_d_mex_series
 from qmex.series import IntSeries, make_series
 
 
@@ -40,6 +41,12 @@ class TestRegistry:
         assert len(entries) >= 14
         assert len(names) == len(set(names))
         assert REQUIRED_NAMES <= set(names)
+
+    def test_form_equivalences_pair_every_catalogued_form(self):
+        labels = {d.name: [c.label for c in d.checks] for d in registry()}
+        for name in ("thm-sigma-d-mex", "sigma-sum-identity", "a-d-form-equivalence"):
+            assert labels[name] == ["canonical-vs-alt1"]
+        assert labels["moex-form-equivalence"] == ["canonical-vs-alt1", "canonical-vs-alt2", "alt1-vs-alt2"]
 
     def test_descriptors_are_complete(self):
         for d in registry():
@@ -108,6 +115,20 @@ class TestHarnessDetectsPerturbations:
         assert report.status is Status.FAIL
         assert report.first_mismatch.n == 7
         assert report.first_mismatch.lhs + 1 == report.first_mismatch.rhs
+
+    def test_form_routes_are_looked_up_at_call_time(self, monkeypatch):
+        real, forms = qfunctions._CATALOGUE["sigma-d-moex"]
+
+        def planted(order, form=Form.CANONICAL):
+            c = list(real(order, form).coefficients())
+            if form is Form.ALT2 and order >= 9:
+                c[9] += 1
+            return IntSeries(c)
+
+        monkeypatch.setitem(qfunctions._CATALOGUE, "sigma-d-moex", (planted, forms))
+        report = verify("moex-form-equivalence", 30)
+        assert report.status is Status.FAIL
+        assert (report.first_mismatch.n, report.first_mismatch.check) == (9, "canonical-vs-alt2")
 
     def test_oracle_perturbation_found(self):
         desc = IdentityDescriptor(

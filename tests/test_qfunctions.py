@@ -6,12 +6,14 @@ either side shows up as a disagreement rather than a stale constant.
 """
 
 import hashlib
+import inspect
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmex import qfunctions
 from qmex.partitions import CountKind, StatKind, refined_count_oracle, stat_sum_oracle
 from qmex.qfunctions import (
     Form,
@@ -22,6 +24,7 @@ from qmex.qfunctions import (
     available_series,
     build_named,
     chern_sigma_maex_series,
+    clear_cache,
     dcount_series,
     distinct_gen,
     refined_series,
@@ -244,7 +247,10 @@ class TestTruncationEdges:
             a_series,
             sigma_L_series,
         ):
+            # cold builds: the store would otherwise serve tiny as a slice of wider
+            clear_cache()
             tiny = builder(order)
+            clear_cache()
             wider = builder(12)
             assert tiny.order == order
             for n in range(order + 1):
@@ -252,7 +258,9 @@ class TestTruncationEdges:
 
     def test_prefix_stability_across_orders(self):
         # raising the order never changes already-retained coefficients
+        clear_cache()
         lo = sigma_d_mex_series(30)
+        clear_cache()
         hi = sigma_d_mex_series(90)
         for n in range(31):
             assert lo.coefficient(n) == hi.coefficient(n)
@@ -330,6 +338,11 @@ class TestCatalog:
     def test_names_cover_builders(self):
         names = available_series()
         assert "sigma-d-mex" in names and "chern-sigma-maex" in names
+        # formless names first, then names with forms, each sorted (the CLI's choices)
+        assert names == (
+            "a", "chern-sigma-maex", "distinct", "sigma-d-maex", "sigma-l", "sigma-mex", "sigma-star",
+            "a-d", "sigma", "sigma-d-mex", "sigma-d-moex",
+        )
         assert len(names) == len(set(names))
         assert {name for name, _ in ROUTE_SHA256} == set(names)
 
@@ -379,3 +392,98 @@ def test_route_coefficients_pinned(name, form):
     coeffs = build_named(name, order, Form(form)).series.coefficients()
     digest = hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest()
     assert digest == ROUTE_SHA256[(name, form)]
+
+
+# (builder, keyword arguments other than order) for every route the store
+# serves: each catalogued (name, form), slices of every refined family, and
+# dcount_series.
+STORE_ROUTES = [
+    (builder, {"form": form} if forms else {})
+    for builder, forms in (qfunctions._CATALOGUE[name] for name in available_series())
+    for form in (forms or (None,))
+] + [
+    (refined_series, {"kind": kind, "index": index})
+    for kind, indices in (
+        (RefinedKind.MEX, (1, 4)),
+        (RefinedKind.OMEX, (0, 2)),
+        (RefinedKind.MOEX, (0, 3)),
+        (RefinedKind.MAEX, (1, 5)),
+    )
+    for index in indices
+] + [(dcount_series, {"i": i}) for i in (0, 3)]
+
+
+class _NoAccess(dict):
+    """A store that fails any test that reads or writes it."""
+
+    def get(self, *args):
+        raise AssertionError("store read")
+
+    def __getitem__(self, key):
+        raise AssertionError("store read")
+
+    def __setitem__(self, key, value):
+        raise AssertionError("store written")
+
+
+class TestStore:
+    def test_routes_cover_the_catalogue(self):
+        catalogued = [r for r in STORE_ROUTES if r[0] not in (refined_series, dcount_series)]
+        assert len(catalogued) == len(ROUTE_SHA256)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=80), st.integers(min_value=0, max_value=40))
+    def test_prefix_served_from_larger_build_equals_cold_build(self, n, extra):
+        for builder, kwargs in STORE_ROUTES:
+            clear_cache()
+            cold = builder(order=n, **kwargs)
+            clear_cache()
+            built = builder(order=n + extra, **kwargs)
+            misses = builder.cache_info().misses
+            served = builder(order=n, **kwargs)
+            assert builder.cache_info().misses == misses, builder.__name__
+            assert served == cold and served.order == n, (builder.__name__, kwargs)
+            if extra == 0:
+                assert served is built
+
+    @pytest.mark.parametrize("builder", [sigma_series, sigma_d_mex_series, a_d_series, sigma_d_moex_series])
+    def test_default_form_is_one_key(self, builder):
+        clear_cache()
+        first = builder(20)
+        assert builder(20, Form.CANONICAL) is first
+        assert builder(order=20) is first
+        assert builder(order=20, form=Form.CANONICAL) is first
+        assert builder.cache_info() == (3, 1)
+
+    def test_clear_cache_zeroes_counts(self):
+        sigma_series(5)
+        clear_cache()
+        assert sigma_series.cache_info() == (0, 0)
+        assert not qfunctions._STORE
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sigma_series(10, Form.ALT2),
+            lambda: sigma_d_mex_series(10, Form.ALT2),
+            lambda: a_d_series(10, form=Form.ALT2),
+            lambda: sigma_series(-1),
+            lambda: sigma_d_moex_series(-1, Form.ALT2),
+            lambda: distinct_gen(order=-1),
+            lambda: refined_series(RefinedKind.MEX, 1, -1),
+            lambda: dcount_series(0, -1),
+            lambda: build_named("sigma", 10, Form.ALT2),
+            lambda: build_named("distinct", 10, Form.ALT1),
+        ],
+    )
+    def test_bad_input_raises_before_the_store(self, monkeypatch, call):
+        monkeypatch.setattr(qfunctions, "_STORE", _NoAccess())
+        with pytest.raises(ValueError):
+            call()
+
+    def test_catalogue_entries_are_the_module_builders(self):
+        # a tracer that rebinds a builder must reach both references
+        for name in available_series():
+            builder, _ = qfunctions._CATALOGUE[name]
+            assert getattr(qfunctions, builder.__name__) is builder
+            assert next(iter(inspect.signature(builder).parameters)) == "order"
