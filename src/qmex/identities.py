@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations, count, takewhile
-from typing import Callable, Iterable, Iterator, Optional, Union
+from itertools import combinations
+from typing import Callable, Optional, Union
 
 from .partitions import CountKind, StatKind, refined_count_oracle, stat_sum_oracle, two_colored_distinct_count
 from .qfunctions import (
     Form,
     RefinedKind,
     _CATALOGUE,
-    _maex_slices,
+    _FAMILIES,
+    _slices,
     a_d_series,
     a_series,
     build_named,
@@ -39,7 +40,7 @@ from .qfunctions import (
     sigma_d_moex_series,
     sigma_mex_series,
 )
-from .series import INFINITE, IntSeries, one, poch, zero
+from .series import INFINITE, IntSeries, one, poch
 
 SeriesBuilder = Callable[[int], IntSeries]
 Oracle = Callable[[int], int]
@@ -119,23 +120,22 @@ class VerificationReport:
 # builders used by more than one entry
 
 
-def _slice_sum(order: int, slices: Iterable[tuple[int, IntSeries]]) -> IntSeries:
-    """Sum of weight * slice over (weight, slice) pairs of this order."""
-    total = zero(order)
-    for weight, s in slices:
-        total = total + s.scale_shift(weight)
-    return total
+def _sliced(kind: Optional[RefinedKind], weight: Callable[[int], int]) -> SeriesBuilder:
+    """sum_k weight(k) * slice k of a family (None: the mex > i tails of dcount_series).
 
+    Every slice nonzero at the order comes from the running quotients of
+    qfunctions._slices and is added into one list: a route apart from
+    the aggregate builders, which sum q-series terms and multiply.
+    """
 
-def _indices(order: int, first: int, low: Callable[[int], int]) -> Iterator[int]:
-    """first, first + 1, ... while the lowest exponent low(k) of slice k is at most order."""
-    return takewhile(lambda k: low(k) <= order, count(first))
+    def build(order: int) -> IntSeries:
+        total = [0] * (order + 1)
+        for k, low, body in _slices(kind, order):
+            w = weight(k)
+            total[low:] = [t + w * v for t, v in zip(total[low:], body)]
+        return IntSeries(total)
 
-
-def _mex_slices(order: int, weighted: bool) -> Iterator[tuple[int, IntSeries]]:
-    """(m or 1, mex slice m) for every mex slice that is nonzero at this order."""
-    for m in _indices(order, 1, lambda m: m * (m - 1) // 2):
-        yield (m if weighted else 1), refined_series(RefinedKind.MEX, m, order)
+    return build
 
 
 def _route(name: str, form: Form) -> SeriesBuilder:
@@ -144,7 +144,7 @@ def _route(name: str, form: Form) -> SeriesBuilder:
 
 
 def _shifted_smallest_gt(i: int) -> Oracle:
-    t = i * (i + 1) // 2
+    t = _FAMILIES[None][1](i)  # the staircase 1 + 2 + ... + i, where dcount slice i starts
 
     def oracle(n: int) -> int:
         if n < t:
@@ -225,72 +225,35 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
     )
     ss(
         "d-i-sum",
-        "sum_{i>=0} [distinct partitions with mex > i] = mex-sum over "
-        "distinct partitions",
-        SeriesPair(
-            "sum-vs-sigma-d-mex",
-            lambda o: _slice_sum(
-                o, ((1, dcount_series(i, o)) for i in _indices(o, 0, lambda i: i * (i + 1) // 2))
-            ),
-            sigma_d_mex_series,
-        ),
+        "sum_{i>=0} [distinct partitions with mex > i] = mex-sum over distinct partitions",
+        SeriesPair("sum-vs-sigma-d-mex", _sliced(None, lambda i: 1), sigma_d_mex_series),
     )
     ss(
         "refined-mex-weighted-sum",
         "sum_m m [distinct partitions with mex = m] = mex-sum over distinct",
-        SeriesPair(
-            "weighted-slices",
-            lambda o: _slice_sum(o, _mex_slices(o, True)),
-            sigma_d_mex_series,
-        ),
+        SeriesPair("weighted-slices", _sliced(RefinedKind.MEX, lambda m: m), sigma_d_mex_series),
     )
     ss(
         "refined-mex-unweighted-sum",
         "sum_m [distinct partitions with mex = m] = (-q;q)_inf",
-        SeriesPair(
-            "unweighted-slices",
-            lambda o: _slice_sum(o, _mex_slices(o, False)),
-            distinct_gen,
-        ),
+        SeriesPair("unweighted-slices", _sliced(RefinedKind.MEX, lambda m: 1), distinct_gen),
     )
     ss(
         "refined-omex-sum",
         "sum_k [distinct partitions with mex = 2k+1] = odd-mex count over distinct",
-        SeriesPair(
-            "omex-slices",
-            lambda o: _slice_sum(
-                o,
-                (
-                    (1, refined_series(RefinedKind.OMEX, k, o))
-                    for k in _indices(o, 0, lambda k: k * (2 * k + 1))
-                ),
-            ),
-            a_d_series,
-        ),
+        SeriesPair("omex-slices", _sliced(RefinedKind.OMEX, lambda k: 1), a_d_series),
     )
     ss(
         "refined-moex-weighted-sum",
         "sum_k (2k+1) [distinct partitions with moex = 2k+1] = moex-sum over distinct",
         SeriesPair(
-            "weighted-moex-slices",
-            lambda o: _slice_sum(
-                o,
-                (
-                    (2 * k + 1, refined_series(RefinedKind.MOEX, k, o))
-                    for k in _indices(o, 0, lambda k: k * k)
-                ),
-            ),
-            sigma_d_moex_series,
+            "weighted-moex-slices", _sliced(RefinedKind.MOEX, lambda k: 2 * k + 1), sigma_d_moex_series
         ),
     )
     ss(
         "refined-maex-weighted-sum",
         "sum_k k [distinct partitions with maex = k] = maex-sum over distinct",
-        SeriesPair(
-            "weighted-maex-slices",
-            lambda o: _slice_sum(o, _maex_slices(o)),
-            sigma_d_maex_series,
-        ),
+        SeriesPair("weighted-maex-slices", _sliced(RefinedKind.MAEX, lambda k: k), sigma_d_maex_series),
     )
 
     so(

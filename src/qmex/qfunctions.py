@@ -13,11 +13,15 @@ or two binomial factors, so each new term costs O(N) list work instead
 of a fresh O(N^2) product. A term enters the sum iff its minimal
 exponent is at most the truncation order. The two maex double sums are
 evaluated in Horner form, innermost factor first, so neither needs a
-dense product.
+dense product. The slices of the refined families come from one
+running quotient per family (_slices): the tail (-q^{m+1};q)_inf of a
+mex slice is the previous tail divided by (1 + q^m), O(order) a step.
 
 Every builder is served from one store: the longest series built per
 key serves each lower order by slicing. clear_cache() empties it, and
-each builder's cache_info() counts its hits and misses.
+each builder's cache_info() counts its hits and misses. An order above
+MAX_ORDER (CHERN_MAX_ORDER for chern_sigma_maex_series) raises
+ValueError before the store is read.
 
 Naming follows the statistics themselves: mex is the least missing
 part, moex the least missing odd part, maex the largest missing value
@@ -72,6 +76,13 @@ class NamedSeries:
     series: IntSeries
 
 
+# Largest order any builder accepts, and the lower one of the O(N^2 log N)
+# chern_sigma_maex_series. The slowest routes take 10.9 s (sigma-mex) and
+# 8.3 s (sigma-l) at MAX_ORDER, and chern 7.3 s at CHERN_MAX_ORDER
+# (cold builds, 2-core x86-64 VM, Python 3.11).
+MAX_ORDER = 8000
+CHERN_MAX_ORDER = 3000
+
 # Calls of one builder served from the store (hits) and built (misses).
 CacheInfo = namedtuple("CacheInfo", "hits misses")
 
@@ -86,12 +97,13 @@ def _bad_form(name: str, form: Form) -> ValueError:
     return ValueError(f"{name} has no form {form.value!r}")
 
 
-def _builder(name: str | None = None, forms: tuple[Form, ...] = ()):
+def _builder(name: str | None = None, forms: tuple[Form, ...] = (), max_order: int = MAX_ORDER):
     """Serve a series builder from _STORE and catalogue it under name.
 
-    A negative order or a form outside forms raises before the store is
-    read. A call at the stored order returns the stored series itself, a
-    lower order a slice of it, and a higher order builds and replaces it.
+    An order outside 0..max_order or a form outside forms raises before
+    the store is read. A call at the stored order returns the stored
+    series itself, a lower order a slice of it, and a higher order
+    builds and replaces it.
     """
 
     def decorate(fn: Callable[..., IntSeries]) -> Callable[..., IntSeries]:
@@ -106,6 +118,8 @@ def _builder(name: str | None = None, forms: tuple[Form, ...] = ()):
             order = params.pop("order")
             if order < 0:
                 raise ValueError("order must be non-negative")
+            if order > max_order:
+                raise ValueError(f"order {order} is above the largest supported order {max_order}")
             if forms and params["form"] not in forms:
                 raise _bad_form(name, params["form"])
             key = (fn.__name__, *params.values())
@@ -298,27 +312,6 @@ def _maex_exponents(k: int, order: int) -> Iterator[int]:
         e = m * (m + 1) // 2 + k * m
 
 
-def _maex_theta(k: int, order: int) -> IntSeries:
-    """The sparse series T_k, truncated."""
-    c = [0] * (order + 1)
-    for e in _maex_exponents(k, order):
-        c[e] = 1
-    return IntSeries(c)
-
-
-def _maex_slices(order: int) -> Iterator[tuple[int, IntSeries]]:
-    """Yield (k, refined_series(MAEX, k, order)) for k = 1 .. order - 1.
-
-    Later slices are zero at this order. The prefix (-q;q)_{k-1} is
-    extended by one binomial per k and multiplied by the sparse T_k.
-    """
-    prefix = [1] + [0] * order
-    for k in range(1, order):
-        if k > 1:
-            _mul_binomial_inplace(prefix, 1, k - 1)
-        yield k, IntSeries(prefix) * _maex_theta(k, order)
-
-
 @_builder("sigma-d-maex")
 def sigma_d_maex_series(order: int) -> IntSeries:
     """Sum of the maximal excludant over distinct-part partitions.
@@ -337,7 +330,7 @@ def sigma_d_maex_series(order: int) -> IntSeries:
     return IntSeries(acc)
 
 
-@_builder("chern-sigma-maex")
+@_builder("chern-sigma-maex", max_order=CHERN_MAX_ORDER)
 def chern_sigma_maex_series(order: int) -> IntSeries:
     """Sum of the maximal excludant over all partitions.
 
@@ -361,6 +354,74 @@ def chern_sigma_maex_series(order: int) -> IntSeries:
 # refined families and single-statistic slices
 
 
+# Refined family -> (first index, lowest exponent of slice k). None is
+# the family of dcount_series: distinct-part partitions with mex > i.
+_FAMILIES: dict[RefinedKind | None, tuple[int, Callable[[int], int]]] = {
+    RefinedKind.MEX: (1, lambda m: m * (m - 1) // 2),
+    RefinedKind.OMEX: (0, lambda k: k * (2 * k + 1)),
+    RefinedKind.MOEX: (0, lambda k: k * k),
+    RefinedKind.MAEX: (1, lambda k: k + 1),
+    None: (0, lambda i: i * (i + 1) // 2),
+}
+
+
+def _slices(
+    kind: RefinedKind | None, order: int, start: int = 0
+) -> Iterator[tuple[int, int, list[int]]]:
+    """Yield (k, low, body) for every slice k >= start of a family nonzero at order.
+
+    Slice k is q^low * body: low is its lowest exponent, body holds its
+    coefficients 0..order - low. One running list, cut to the length the
+    next slice needs, steps from each slice to the next:
+
+    MEX, OMEX, None  tail (-q^{m+1};q)_inf, m = k (OMEX: 2k+1): distinct_gen
+                     divided by (1 + q^m), one step per m
+    MOEX             (-q;q)_inf / (-q;q^2)_{k+1}: divided by (1 + q^{2k+1})
+    MAEX             prefix (-q;q)_{k-1}: times (1 + q^{k-1}), then added
+                     at each exponent of T_k
+
+    Below start the list only steps. A body may be the running list
+    itself, so read it before the next item.
+    """
+    first, lowest = _FAMILIES[kind]
+    maex = kind is RefinedKind.MAEX
+    run = [1] + [0] * order if maex else list(distinct_gen(order).coefficients())
+    m = 0
+    for k in count(first):
+        low = lowest(k)
+        if low > order:
+            return
+        del run[order + 1 - low :]
+        if maex:
+            if k > 1:
+                _mul_binomial_inplace(run, 1, k - 1)
+        elif kind is RefinedKind.MOEX:
+            _div_binomial_inplace(run, 1, 2 * k + 1)
+        else:
+            for m in range(m + 1, 2 * k + 2 if kind is RefinedKind.OMEX else k + 1):
+                _div_binomial_inplace(run, 1, m)
+        if k < start:
+            continue
+        body = run
+        if maex:
+            body = [0] * len(run)
+            for e in _maex_exponents(k, order):
+                body[e - low :] = [x + y for x, y in zip(body[e - low :], run)]
+        yield k, low, body
+
+
+def _slice(kind: RefinedKind | None, index: int, order: int) -> IntSeries:
+    """Slice index of a family; past the last nonzero slice it is zero at once."""
+    first, lowest = _FAMILIES[kind]
+    if index < first:
+        raise ValueError(f"{kind.value if kind else 'dcount'} slice index must be >= {first}")
+    c = [0] * (order + 1)
+    if lowest(index) <= order:
+        _, low, body = next(_slices(kind, order, index))
+        c[low:] = body
+    return IntSeries(c)
+
+
 @_builder()
 def refined_series(kind: RefinedKind, index: int, order: int) -> IntSeries:
     """Distinct-part partitions refined by the value of one statistic.
@@ -374,27 +435,15 @@ def refined_series(kind: RefinedKind, index: int, order: int) -> IntSeries:
     MAEX k>=1  partitions with maximal excludant k:
                (-q;q)_{k-1} sum_{m>=1} q^{m(m+1)/2 + km}
 
-    Weighted sums of these slices reproduce the aggregate series, which
+    Each slice is one lookup in the running quotients of _slices: a MEX
+    or OMEX tail is distinct_gen divided by one (1 + q^m) per m, O(order)
+    a step, and a slice starting past the order is zero without a step.
+    Weighted sums of the slices reproduce the aggregate series, which
     the identity registry checks.
     """
-    first = 1 if kind in (RefinedKind.MEX, RefinedKind.MAEX) else 0
-    if index < first:
-        raise ValueError(f"{kind.value} slice index must be >= {first}")
-    if kind is RefinedKind.MEX:
-        base = index * (index - 1) // 2
-        return poch(1, index + 1, 1, INFINITE, order).scale_shift(1, base)
-    if kind is RefinedKind.OMEX:
-        base = index * (2 * index + 1)
-        return poch(1, 2 * index + 2, 1, INFINITE, order).scale_shift(1, base)
-    if kind is RefinedKind.MOEX:
-        c = list(distinct_gen(order).coefficients())
-        _shift_inplace(c, index * index)
-        for j in range(index + 1):
-            _div_binomial_inplace(c, 1, 2 * j + 1)
-        return IntSeries(c)
-    if kind is RefinedKind.MAEX:
-        return poch(1, 1, 1, index - 1, order) * _maex_theta(index, order)
-    raise ValueError(f"unknown refined kind {kind!r}")
+    if not isinstance(kind, RefinedKind):
+        raise ValueError(f"unknown refined kind {kind!r}")
+    return _slice(kind, index, order)
 
 
 @_builder()
@@ -404,9 +453,7 @@ def dcount_series(i: int, order: int) -> IntSeries:
     Equivalently (by removing a staircase) distinct-part partitions of
     n - i(i+1)/2 with every part above i.
     """
-    if i < 0:
-        raise ValueError("index must be >= 0")
-    return poch(1, i + 1, 1, INFINITE, order).scale_shift(1, i * (i + 1) // 2)
+    return _slice(None, i, order)
 
 
 @_builder("a")

@@ -219,6 +219,74 @@ class TestRefineCommand:
         assert code == 0
         assert json.loads(out)["name"] == "refined-moex-1"
 
+    @pytest.mark.parametrize("kind", ["mex", "omex", "moex", "maex"])
+    def test_index_far_past_the_order_is_zero_at_once(self, capsys, monkeypatch, kind):
+        from qmex import qfunctions
+
+        def no_stream(*args):
+            raise AssertionError("slice stream ran")
+
+        monkeypatch.setattr(qfunctions, "_slices", no_stream)
+        code, out = invoke(capsys, "refine", kind, "--index", str(10**12), "--order", "50")
+        assert code == 0
+        assert out.splitlines() == ["n,value"] + [f"{n},0" for n in range(51)]
+
+
+class _NoStore(dict):
+    """A series store that fails any test that reads or writes it."""
+
+    def get(self, *args):
+        raise AssertionError("store read")
+
+    def __setitem__(self, key, value):
+        raise AssertionError("store written")
+
+
+class TestOrderCap:
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        from qmex import qfunctions
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("builder body ran")
+
+        monkeypatch.setattr(qfunctions, "_STORE", _NoStore())
+        for name in ("poch", "_partial_sum", "_slices", "_mul_binomial_inplace", "_div_binomial_inplace"):
+            monkeypatch.setattr(qfunctions, name, no_work)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "distinct", "--order", str(10**12)],
+            ["export", "sigma-mex", "--order", str(10**12), "--out", "{out}"],
+            ["refine", "mex", "--index", "1", "--order", str(10**12)],
+            ["tauberian", "--t", "0.1", "--order", str(10**12)],
+        ],
+    )
+    def test_huge_order_refused_before_any_work(self, capsys, tmp_path, no_build, argv):
+        out_file = tmp_path / "out.json"
+        code, out = invoke(capsys, *(a.format(out=out_file) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert not out_file.exists()
+
+    def test_caps_bound_each_builder(self, capsys, no_build):
+        from qmex.qfunctions import CHERN_MAX_ORDER, MAX_ORDER
+
+        code, out = invoke(capsys, "series", "sigma-l", "--order", str(MAX_ORDER + 1))
+        assert (code, out) == (2, "")
+        code, out = invoke(capsys, "series", "chern-sigma-maex", "--order", str(CHERN_MAX_ORDER + 1))
+        assert (code, out) == (2, "")
+
+    def test_caps_leave_room_for_the_orders_in_use(self):
+        from qmex.asymptotics import required_order
+        from qmex.qfunctions import CHERN_MAX_ORDER, MAX_ORDER, sigma_star_series
+
+        # the order-2000 builds, chern at 400, and tauberian at t = 0.1
+        assert MAX_ORDER >= max(2000, required_order(0.1))
+        assert 400 <= CHERN_MAX_ORDER < MAX_ORDER
+        assert sigma_star_series(MAX_ORDER).order == MAX_ORDER
+
 
 class TestExportCommand:
     def test_json_file_round_trip(self, capsys, tmp_path):

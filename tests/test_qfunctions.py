@@ -10,15 +10,23 @@ import inspect
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmex import qfunctions
-from qmex.partitions import CountKind, StatKind, refined_count_oracle, stat_sum_oracle
+from qmex import identities, qfunctions
+from qmex.partitions import (
+    CountKind,
+    StatKind,
+    enum_partitions,
+    maex,
+    mex,
+    moex,
+    refined_count_oracle,
+    stat_sum_oracle,
+)
 from qmex.qfunctions import (
     Form,
     RefinedKind,
-    _maex_slices,
     a_d_series,
     a_series,
     available_series,
@@ -36,7 +44,16 @@ from qmex.qfunctions import (
     sigma_series,
     sigma_star_series,
 )
-from qmex.series import IntSeries, _div_binomial_inplace, _mul_binomial_inplace, make_series
+from qmex.series import (
+    INFINITE,
+    IntSeries,
+    _div_binomial_inplace,
+    _mul_binomial_inplace,
+    _shift_inplace,
+    make_series,
+    poch,
+    zero,
+)
 
 
 def fraction_sigma(order):
@@ -123,6 +140,55 @@ def double_sum_chern(order):
                 total[j] += n * v
         n += 1
     return tuple(total)
+
+
+def closed_form_slice(kind, k, order):
+    """Slice k of a family from its closed form (kind None: dcount_series).
+
+    These are the formulas the slices were built from before the running
+    quotient: a shifted poch tail for MEX, OMEX and dcount, the division
+    loop for MOEX, and poch times the sparse T_k for MAEX.
+    """
+    if kind is None:
+        return poch(1, k + 1, 1, INFINITE, order).scale_shift(1, k * (k + 1) // 2)
+    if kind is RefinedKind.MEX:
+        return poch(1, k + 1, 1, INFINITE, order).scale_shift(1, k * (k - 1) // 2)
+    if kind is RefinedKind.OMEX:
+        return poch(1, 2 * k + 2, 1, INFINITE, order).scale_shift(1, k * (2 * k + 1))
+    if kind is RefinedKind.MOEX:
+        c = list(poch(1, 1, 1, INFINITE, order).coefficients())
+        _shift_inplace(c, k * k)
+        for j in range(k + 1):
+            _div_binomial_inplace(c, 1, 2 * j + 1)
+        return IntSeries(c)
+    theta = [0] * (order + 1)
+    m = 1
+    while m * (m + 1) // 2 + k * m <= order:
+        theta[m * (m + 1) // 2 + k * m] = 1
+        m += 1
+    return poch(1, 1, 1, k - 1, order) * IntSeries(theta)
+
+
+def old_slice_sum(order, slices):
+    """Sum of weight * slice over (weight, slice) pairs, one series addition each."""
+    total = zero(order)
+    for weight, s in slices:
+        total = total + s.scale_shift(weight)
+    return total
+
+
+# family -> its first index; None is the mex > i family of dcount_series
+FIRST_INDEX = {None: 0, RefinedKind.MEX: 1, RefinedKind.OMEX: 0, RefinedKind.MOEX: 0, RefinedKind.MAEX: 1}
+
+# slice-sum identity -> (family, weight of slice k)
+SLICE_SUMS = {
+    "d-i-sum": (None, lambda i: 1),
+    "refined-mex-weighted-sum": (RefinedKind.MEX, lambda m: m),
+    "refined-mex-unweighted-sum": (RefinedKind.MEX, lambda m: 1),
+    "refined-omex-sum": (RefinedKind.OMEX, lambda k: 1),
+    "refined-moex-weighted-sum": (RefinedKind.MOEX, lambda k: 2 * k + 1),
+    "refined-maex-weighted-sum": (RefinedKind.MAEX, lambda k: k),
+}
 
 
 class TestSigma:
@@ -304,11 +370,12 @@ class TestRefined:
                 assert s.coefficient(n) == want
 
     def test_running_prefix_maex_slices(self):
-        slices = list(_maex_slices(60))
-        assert [k for k, _ in slices] == list(range(1, 60))
-        for k, s in slices:
-            assert s == refined_series(RefinedKind.MAEX, k, 60)
-        # the generator stops where the slices vanish
+        ks = []
+        for k, low, body in qfunctions._slices(RefinedKind.MAEX, 60):
+            ks.append(k)
+            assert IntSeries([0] * low + body) == refined_series(RefinedKind.MAEX, k, 60)
+        assert ks == list(range(1, 60))
+        # the stream stops where the slices vanish
         assert not any(refined_series(RefinedKind.MAEX, 60, 60).coefficients())
 
     def test_index_validation(self):
@@ -332,6 +399,58 @@ class TestRefined:
 
     def test_dcount_zero_is_distinct_gen(self):
         assert dcount_series(0, 30) == distinct_gen(30)
+
+
+def _slice_of(kind, k, order):
+    return dcount_series(k, order) if kind is None else refined_series(kind, k, order)
+
+
+class TestSliceStream:
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(min_value=0, max_value=300))
+    @example(0)
+    @example(1)
+    @example(300)
+    def test_stream_and_slice_sums_equal_closed_forms(self, order):
+        closed = {}
+        for kind, first in FIRST_INDEX.items():
+            # every slice up to the first that vanishes at this order
+            forms = closed[kind] = {}
+            k = first
+            while True:
+                forms[k] = closed_form_slice(kind, k, order)
+                if not any(forms[k].coefficients()):
+                    break
+                k += 1
+            items = []
+            for k, low, body in qfunctions._slices(kind, order):
+                assert len(body) == order + 1 - low and body[0] == 1  # low is the lowest exponent
+                assert IntSeries([0] * low + body) == forms[k], (kind, k)
+                items.append(k)
+            assert items == list(range(first, max(forms))), kind
+            assert all(_slice_of(kind, k, order) == forms[k] for k in forms)
+        for name, (kind, weight) in SLICE_SUMS.items():
+            (check,) = identities._BY_NAME[name].checks
+            want = old_slice_sum(order, ((weight(k), s) for k, s in closed[kind].items()))
+            assert check.lhs(order) == want, name
+
+    def test_every_slice_matches_enumeration(self):
+        top = 30
+        stats = [(n, mex(p), moex(p), maex(p)) for n in range(top + 1) for p in enum_partitions(n, True)]
+        statistic = {
+            RefinedKind.MEX: lambda m, o, a, k: m == k,
+            RefinedKind.OMEX: lambda m, o, a, k: m == 2 * k + 1,
+            RefinedKind.MOEX: lambda m, o, a, k: o == 2 * k + 1,
+            RefinedKind.MAEX: lambda m, o, a, k: a == k,
+            None: lambda m, o, a, k: m > k,
+        }
+        for kind, first in FIRST_INDEX.items():
+            # every index with a nonzero slice at this order (at most top), and past it
+            for k in range(first, top + 2):
+                want = [0] * (top + 1)
+                for n, m, o, a in stats:
+                    want[n] += statistic[kind](m, o, a, k)
+                assert _slice_of(kind, k, top).coefficients() == tuple(want), (kind, k)
 
 
 class TestCatalog:
