@@ -62,6 +62,14 @@ class Partition:
                     raise ValueError("parts must be non-increasing")
             prev = p
 
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...], distinct: bool = False) -> "Partition":
+        """A partition the package's own streams built, without re-validating it."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "parts", parts)
+        object.__setattr__(p, "distinct", distinct)
+        return p
+
     @property
     def weight(self) -> int:
         return sum(self.parts)
@@ -114,13 +122,14 @@ def _zs1_stream(n: int) -> Iterator[Partition]:
     every slot after h holds 1. Each step lowers x[h] by one and
     refills the tail greedily with parts of that size.
     """
+    trusted = Partition._trusted
     if n == 0:
-        yield Partition(())
+        yield trusted(())
         return
     x = [1] * n
     x[0] = n
     m, h = 1, 0
-    yield Partition((n,))
+    yield trusted((n,))
     while x[0] != 1:
         if x[h] == 2:
             x[h] = 1
@@ -141,13 +150,15 @@ def _zs1_stream(n: int) -> Iterator[Partition]:
                 if t > 1:
                     h += 1
                     x[h] = t
-        yield Partition(tuple(x[:m]))
+        yield trusted(tuple(x[:m]))
 
 
 def _distinct_stream(n: int) -> Iterator[Partition]:
+    trusted = Partition._trusted
+
     def gen(remaining: int, cap: int, prefix: list[int]) -> Iterator[Partition]:
         if remaining == 0:
-            yield Partition(tuple(prefix), True)
+            yield trusted(tuple(prefix), True)
             return
         for part in range(min(remaining, cap), 0, -1):
             if part * (part + 1) // 2 < remaining:

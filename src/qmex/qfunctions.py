@@ -16,6 +16,9 @@ evaluated in Horner form, innermost factor first, so neither needs a
 dense product. The slices of the refined families come from one
 running quotient per family (_slices): the tail (-q^{m+1};q)_inf of a
 mex slice is the previous tail divided by (1 + q^m), O(order) a step.
+(-q;q)_inf itself, the factor most builders end with, is
+(q^2;q^2)_inf / (q;q)_inf, two series that Euler's pentagonal theorem
+makes sparse (_euler_product).
 
 Every builder is served from one store: the longest series built per
 key serves each lower order by slicing. clear_cache() empties it, and
@@ -40,13 +43,12 @@ from functools import wraps
 from itertools import chain, count
 from typing import Callable, Iterable, Iterator
 
+from .partitions import _pentagonal
 from .series import (
-    INFINITE,
     IntSeries,
     _div_binomial_inplace,
     _mul_binomial_inplace,
     _shift_inplace,
-    poch,
 )
 
 
@@ -77,9 +79,10 @@ class NamedSeries:
 
 
 # Largest order any builder accepts, and the lower one of the O(N^2 log N)
-# chern_sigma_maex_series. The slowest routes take 10.9 s (sigma-mex) and
-# 8.3 s (sigma-l) at MAX_ORDER, and chern 7.3 s at CHERN_MAX_ORDER
-# (cold builds, 2-core x86-64 VM, Python 3.11).
+# chern_sigma_maex_series. The slowest routes take 11-12 s (sigma-l),
+# 4.9 s (sigma-d-moex alt1) and 2.7 s (sigma-d-maex) at MAX_ORDER, every
+# other route under 1.5 s, and chern 6.7 s at CHERN_MAX_ORDER (cold
+# builds, 2-core x86-64 VM, Python 3.11).
 MAX_ORDER = 8000
 CHERN_MAX_ORDER = 3000
 
@@ -129,7 +132,7 @@ def _builder(name: str | None = None, forms: tuple[Form, ...] = (), max_order: i
                 stored = _STORE[key] = fn(*args, **kwargs)
             else:
                 counts[0] += 1
-            return stored if stored.order == order else IntSeries(stored.coefficients()[: order + 1])
+            return stored if stored.order == order else IntSeries._trusted(stored.coefficients()[: order + 1])
 
         builder.cache_info = lambda: CacheInfo(*counts)
         if name is not None:
@@ -204,9 +207,9 @@ def sigma_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     registered identities.
     """
     if form is Form.CANONICAL:
-        return IntSeries(_partial_sum(order, _triangular_steps(1)))
+        return IntSeries._trusted(_partial_sum(order, _triangular_steps(1)))
     # t_m = q^{m(m-1)/2} / (-q;q)_m, ratio q^{m-1} / (1 + q^m)
-    return IntSeries(_partial_sum(order, ((m, m - 1, ((1, m, -1),)) for m in count(1))))
+    return IntSeries._trusted(_partial_sum(order, ((m, m - 1, ((1, m, -1),)) for m in count(1))))
 
 
 @_builder("sigma-star")
@@ -214,17 +217,34 @@ def sigma_star_series(order: int) -> IntSeries:
     """Companion series 2 * sum_{n>=1} (-1)^n q^{n^2} / (q;q^2)_n."""
     # t_n = q^{n^2} / (q;q^2)_n, ratio q^{2n-1} / (1 - q^{2n-1})
     steps = ((2 * (-1) ** n, 2 * n - 1, ((-1, 2 * n - 1, -1),)) for n in count(1))
-    return IntSeries(_partial_sum(order, steps))
+    return IntSeries._trusted(_partial_sum(order, steps))
 
 
 # ----------------------------------------------------------------------
 # distinct-part machinery
 
 
+def _euler_product(s: int, order: int) -> IntSeries:
+    """(q^s;q^s)_inf up to order by Euler's pentagonal theorem, O(order).
+
+    (q;q)_inf = sum_j (-1)^j q^{j(3j-1)/2} over all integers j, so only
+    about 2 sqrt(2 order / 3s) coefficients are nonzero, each +1 or -1.
+    """
+    c = [1] + [0] * order
+    for g, sign in _pentagonal(order // s):
+        c[s * g] = sign
+    return IntSeries._trusted(c)
+
+
 @_builder("distinct")
 def distinct_gen(order: int) -> IntSeries:
-    """(-q;q)_inf prefix: coefficient n counts partitions of n into distinct parts."""
-    return poch(1, 1, 1, INFINITE, order)
+    """(-q;q)_inf prefix: coefficient n counts partitions of n into distinct parts.
+
+    Built as (q^2;q^2)_inf / (q;q)_inf: both Euler products are sparse,
+    so the inversion walks O(sqrt(order)) terms per coefficient and the
+    product takes the sparse loop, O(order^1.5) in all.
+    """
+    return _euler_product(2, order) * _euler_product(1, order).invert()
 
 
 @_builder("sigma-d-mex", (Form.CANONICAL, Form.ALT1))
@@ -266,7 +286,7 @@ def a_d_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
             ((1, 4 * n - 1, ((1, 2 * n, -1), (1, 2 * n + 1, -1))) for n in count(1)),
         )
         inner = _partial_sum(order, steps)
-    return distinct_gen(order) * IntSeries(inner)
+    return distinct_gen(order) * IntSeries._trusted(inner)
 
 
 @_builder("sigma-d-moex", (Form.CANONICAL, Form.ALT1, Form.ALT2))
@@ -295,7 +315,7 @@ def sigma_d_moex_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
         star = sigma_star_series(order).coefficients()
         inner = [(-c if j % 2 else c) for j, c in enumerate(star)]  # q -> -q
         inner[0] += 1
-    return distinct_gen(order) * IntSeries(inner)
+    return distinct_gen(order) * IntSeries._trusted(inner)
 
 
 def _maex_exponents(k: int, order: int) -> Iterator[int]:
@@ -327,7 +347,7 @@ def sigma_d_maex_series(order: int) -> IntSeries:
         _mul_binomial_inplace(acc, 1, k)
         for e in _maex_exponents(k, order):
             acc[e] += k
-    return IntSeries(acc)
+    return IntSeries._trusted(acc)
 
 
 @_builder("chern-sigma-maex", max_order=CHERN_MAX_ORDER)
@@ -347,7 +367,7 @@ def chern_sigma_maex_series(order: int) -> IntSeries:
         # t_m = q^{m(n+1)} (-q;q)_{m-1}, ratio q^{n+1} (1 + q^{m-1})
         steps = ((n, n + 1, ((1, m - 1, 1),) if m > 1 else ()) for m in count(1))
         acc = [a + b for a, b in zip(acc, _partial_sum(order, steps))]
-    return IntSeries(acc)
+    return IntSeries._trusted(acc)
 
 
 # ----------------------------------------------------------------------
@@ -419,7 +439,7 @@ def _slice(kind: RefinedKind | None, index: int, order: int) -> IntSeries:
     if lowest(index) <= order:
         _, low, body = next(_slices(kind, order, index))
         c[low:] = body
-    return IntSeries(c)
+    return IntSeries._trusted(c)
 
 
 @_builder()
@@ -463,8 +483,8 @@ def a_series(order: int) -> IntSeries:
     A partition with mex = m contains 1..m-1 and omits m, so the slice
     generating function is q^{m(m-1)/2} (1-q^m) / (q;q)_inf. Summing
     over odd m telescopes the sparse factor into an alternating theta
-    over triangular numbers; the 1/(q;q)_inf factor is one series
-    inversion.
+    over triangular numbers; the 1/(q;q)_inf factor is the inverse of
+    the sparse pentagonal series.
     """
     sparse = [0] * (order + 1)
     m = 1
@@ -473,15 +493,14 @@ def a_series(order: int) -> IntSeries:
         if m * (m + 1) // 2 <= order:
             sparse[m * (m + 1) // 2] -= 1
         m += 2
-    all_parts = poch(-1, 1, 1, INFINITE, order).invert()  # 1/(q;q)_inf
-    return all_parts * IntSeries(sparse)
+    return _euler_product(1, order).invert() * IntSeries._trusted(sparse)
 
 
 @_builder("sigma-l")
 def sigma_L_series(order: int) -> IntSeries:
     """Sum of the largest part over all partitions: sum_{m>=1} m q^m / (q;q)_m."""
     # t_m = q^m / (q;q)_m, ratio q / (1 - q^m)
-    return IntSeries(_partial_sum(order, ((m, 1, ((-1, m, -1),)) for m in count(1))))
+    return IntSeries._trusted(_partial_sum(order, ((m, 1, ((-1, m, -1),)) for m in count(1))))
 
 
 # ----------------------------------------------------------------------

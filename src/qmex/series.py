@@ -9,6 +9,12 @@ All arithmetic is exact. Binary operations truncate to the smaller
 operand order instead of padding with zeros, so a truncation artifact
 can never masquerade as a genuine coefficient.
 
+Products have one kernel per shape behind IntSeries.__mul__. When one
+operand is sparse (a theta-like sum, a pentagonal product), a loop over
+its support costs O(nnz * N). Otherwise Kronecker substitution packs
+each operand into one integer, multiplies the two integers once, and
+reads the coefficients back from the bytes of the product.
+
 Unbounded q-Pochhammer style products are handled by :func:`poch`,
 which simply omits factors whose lowest exponent exceeds the truncation
 order. Such a factor is 1 + O(q^{N+1}) and cannot change any retained
@@ -49,6 +55,18 @@ class IntSeries:
                 raise TypeError(f"coefficients must be int, got {type(c).__name__}")
         self._coeffs = cs
 
+    @classmethod
+    def _trusted(cls, coeffs: Iterable[int]) -> "IntSeries":
+        """Wrap a non-empty int list the package computed itself, unchecked.
+
+        Kernel results and stored prefixes come from int arithmetic on
+        checked series, so re-checking every coefficient only costs time.
+        Outside input goes through IntSeries() or make_series().
+        """
+        s = object.__new__(cls)
+        s._coeffs = tuple(coeffs)
+        return s
+
     @property
     def order(self) -> int:
         """Largest exponent whose coefficient is retained."""
@@ -83,45 +101,44 @@ class IntSeries:
     # ring operations
 
     def __neg__(self) -> "IntSeries":
-        return IntSeries([-c for c in self._coeffs])
+        return IntSeries._trusted([-c for c in self._coeffs])
 
     def __add__(self, other: "IntSeries") -> "IntSeries":
         if not isinstance(other, IntSeries):
             return NotImplemented
         n = min(self.order, other.order)
         a, b = self._coeffs, other._coeffs
-        return IntSeries([a[i] + b[i] for i in range(n + 1)])
+        return IntSeries._trusted([a[i] + b[i] for i in range(n + 1)])
 
     def __sub__(self, other: "IntSeries") -> "IntSeries":
         if not isinstance(other, IntSeries):
             return NotImplemented
         n = min(self.order, other.order)
         a, b = self._coeffs, other._coeffs
-        return IntSeries([a[i] - b[i] for i in range(n + 1)])
+        return IntSeries._trusted([a[i] - b[i] for i in range(n + 1)])
 
     def __mul__(self, other: "IntSeries") -> "IntSeries":
-        """Cauchy product truncated to the smaller operand order.
+        """Cauchy product truncated to the smaller operand order N.
 
-        The outer loop runs over the operand with fewer nonzero entries,
-        so multiplying by a sparse series (a theta-like sum, say) costs
-        O(nnz * N) instead of O(N^2).
+        Two kernels give the same coefficients, chosen by one fixed rule
+        on the sparser operand. With at most _sparse_cutoff(N) = 12 + N // 25
+        nonzero entries (the measured crossover), a loop over its support
+        costs O(nnz * N) coefficient products. Otherwise the product is one
+        big-integer multiplication by Kronecker substitution; see
+        _kronecker_mul.
         """
         if not isinstance(other, IntSeries):
             return NotImplemented
         n = min(self.order, other.order)
         a = self._coeffs[: n + 1]
         b = other._coeffs[: n + 1]
-        na = sum(1 for c in a if c)
-        nb = sum(1 for c in b if c)
+        na = n + 1 - a.count(0)
+        nb = n + 1 - b.count(0)
         if na > nb:
-            a, b = b, a
-        out = [0] * (n + 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b[: n + 1 - i]):
-                    if bj:
-                        out[i + j] += ai * bj
-        return IntSeries(out)
+            a, b, na = b, a, nb
+        if na <= _sparse_cutoff(n):
+            return IntSeries._trusted(_sparse_mul(a, b, n))
+        return IntSeries._trusted(_kronecker_mul(a, b, n))
 
     def invert(self) -> "IntSeries":
         """Multiplicative inverse as a truncated series.
@@ -150,7 +167,7 @@ class IntSeries:
                 acc += cs[i] * g[m - i]
             if acc:
                 g[m] = -c0 * acc
-        return IntSeries(g)
+        return IntSeries._trusted(g)
 
     def scale_shift(self, c: int, a: int = 0) -> "IntSeries":
         """Return c * q^a * self, truncated to the original order.
@@ -169,7 +186,7 @@ class IntSeries:
                 v = self._coeffs[j - a]
                 if v:
                     out[j] = c * v
-        return IntSeries(out)
+        return IntSeries._trusted(out)
 
     def eval_at(self, x: float) -> float:
         """Evaluate the truncated polynomial at a float point in (0, 1).
@@ -256,7 +273,68 @@ def poch(sign: int, a: int, step: int, count: int | None, order: int) -> IntSeri
             if e > order:
                 break  # later factors only have higher exponents
             _mul_binomial_inplace(c, sign, e)
-    return IntSeries(c)
+    return IntSeries._trusted(c)
+
+
+# ----------------------------------------------------------------------
+# product kernels behind IntSeries.__mul__
+#
+# Each takes two coefficient tuples of length n+1 and returns the n+1
+# retained coefficients of their product as a list.
+
+
+def _sparse_cutoff(n: int) -> int:
+    """Most nonzero entries of the sparser operand for which _sparse_mul runs.
+
+    The crossover measured against _kronecker_mul, a random +-1 operand
+    times (-q;q)_inf, lies near 12 nonzero entries at order 100, 32 at
+    1000, 80 at 2000, 200 at 4000 and 400 at 8000.
+    """
+    return 12 + n // 25
+
+
+def _sparse_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Schoolbook product over the support of a: O(nnz(a) * n)."""
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b[: n + 1 - i]):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
+def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Product by Kronecker substitution: one big-integer multiplication.
+
+    Each of the 2n+1 coefficients of the full product is a sum of at
+    most n+1 terms, so its absolute value is at most
+    bound = (n+1) max|a| max|b|. With slots of w bytes such that
+    bound < h = 2^(8w-1), a series c evaluates at X = 2^(8w) to one
+    integer, and the product of two such integers holds the product
+    coefficients in its base-X digits. Operands are packed with h added
+    to every slot, which keeps each packed slot in [0, X), and the same
+    bias is subtracted once as an integer. The product gets h in each of
+    its 2n+1 slots, not only the n+1 retained ones: a negative high
+    coefficient would otherwise make the integer negative. Packing is one
+    to_bytes per coefficient and unpacking one from_bytes per retained
+    slot, so both are linear; the multiplication is CPython's Karatsuba,
+    which squares when both operands are equal.
+    """
+    bound = (n + 1) * max(map(abs, a)) * max(map(abs, b))
+    w = bound.bit_length() // 8 + 1
+    h = 1 << (8 * w - 1)
+    slot = h.to_bytes(w, "little")
+
+    def pack(cs: Sequence[int]) -> int:
+        packed = b"".join([(c + h).to_bytes(w, "little") for c in cs])
+        return int.from_bytes(packed, "little") - int.from_bytes(slot * len(cs), "little")
+
+    x = pack(a)
+    y = x if a == b else pack(b)
+    full = 2 * n + 1
+    raw = (x * y + int.from_bytes(slot * full, "little")).to_bytes(w * full, "little")
+    return [int.from_bytes(raw[i : i + w], "little") - h for i in range(0, w * (n + 1), w)]
 
 
 # ----------------------------------------------------------------------

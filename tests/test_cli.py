@@ -251,7 +251,7 @@ class TestOrderCap:
             raise AssertionError("builder body ran")
 
         monkeypatch.setattr(qfunctions, "_STORE", _NoStore())
-        for name in ("poch", "_partial_sum", "_slices", "_mul_binomial_inplace", "_div_binomial_inplace"):
+        for name in ("_euler_product", "_partial_sum", "_slices", "_mul_binomial_inplace", "_div_binomial_inplace"):
             monkeypatch.setattr(qfunctions, name, no_work)
 
     @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmex import identities, qfunctions
+from qmex import identities, qfunctions, series
 from qmex.partitions import (
     CountKind,
     StatKind,
@@ -295,6 +295,34 @@ class TestDistinctFamilies:
         assert s.coefficient(0) == 0 and s.coefficient(1) == 0
         c = chern_sigma_maex_series(12)
         assert c.coefficient(0) == 0 and c.coefficient(1) == 0
+
+
+class TestPentagonalRoute:
+    """distinct_gen and a_series come from sparse Euler products, not poch."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 2]), st.integers(min_value=0, max_value=600))
+    @example(s=1, order=0)
+    @example(s=2, order=0)
+    @example(s=1, order=1)
+    @example(s=2, order=1)
+    @example(s=1, order=600)
+    @example(s=2, order=600)
+    def test_euler_product_equals_poch(self, s, order):
+        assert qfunctions._euler_product(s, order) == poch(-1, s, s, INFINITE, order)
+
+    def test_builds_without_poch(self, monkeypatch):
+        # with poch and its kernel disabled, both still meet their order-500 pins
+        def no_poch(*args, **kwargs):
+            raise AssertionError("poch ran")
+
+        monkeypatch.setattr(series, "poch", no_poch)
+        monkeypatch.setattr(series, "_mul_binomial_inplace", no_poch)
+        clear_cache()
+        for name, builder in (("distinct", distinct_gen), ("a", a_series)):
+            digest = hashlib.sha256(",".join(map(str, builder(500).coefficients())).encode()).hexdigest()
+            assert digest == ROUTE_SHA256[(name, "canonical")], name
+        clear_cache()
 
 
 class TestTruncationEdges:

@@ -1,16 +1,21 @@
 """Tests for the exact truncated-series engine."""
 
 import math
+import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmex import asymptotics
+from qmex import asymptotics, series
+from qmex.partitions import Partition
 from qmex.series import (
     INFINITE,
     IntSeries,
     NumericalIntegrityError,
+    _kronecker_mul,
+    _sparse_cutoff,
     make_series,
     one,
     poch,
@@ -58,6 +63,29 @@ class TestConstruction:
         assert make_series([1, 2], 1) == make_series([1, 2], 1)
         assert make_series([1, 2], 1) != make_series([1, 2, 0], 2)
         assert hash(make_series([1, 2], 1)) == hash(make_series([1, 2], 1))
+
+    @pytest.mark.parametrize(
+        "call,error",
+        [
+            (lambda: IntSeries([]), ValueError),
+            (lambda: IntSeries([True]), TypeError),
+            (lambda: IntSeries([1.0]), TypeError),
+            (lambda: make_series([1, 2], 2), ValueError),
+            (lambda: Partition((1, 2)), ValueError),
+            (lambda: Partition((2, 2), distinct=True), ValueError),
+            (lambda: Partition((True,)), ValueError),
+        ],
+    )
+    def test_public_constructors_still_check(self, call, error):
+        # kernels and the package's own streams skip these checks; callers never do
+        with pytest.raises(error):
+            call()
+
+    def test_trusted_results_equal_checked_series(self):
+        f = make_series([1, -2, 3, 0, 5], 4)
+        for got in (f * f, f + f, f - f, -f, f.invert(), f.scale_shift(2, 1), poch(1, 1, 1, INFINITE, 4)):
+            assert type(got) is IntSeries
+            assert got == IntSeries(list(got.coefficients()))
 
 
 class TestCoefficientAccess:
@@ -187,6 +215,30 @@ class TestPoch:
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=65)
 
 
+@st.composite
+def dense_coeffs(draw, bits=None):
+    """Signed coefficients of an order in 100..600, too dense for the sparse loop."""
+    n = draw(st.integers(min_value=100, max_value=600))
+    bits = bits if bits is not None else draw(st.sampled_from([3, 64, 200]))
+    mag = 2**bits
+    cs = draw(st.lists(st.integers(min_value=-mag, max_value=mag), min_size=n + 1, max_size=n + 1))
+    for i in range(0, n + 1, 2):  # every other slot nonzero keeps nnz above the cutoff
+        cs[i] = cs[i] or mag
+    return cs
+
+
+def dense_product(f, g):
+    """f * g with the sparse loop disabled: only the Kronecker branch can answer."""
+    with mock.patch.object(series, "_sparse_mul", side_effect=AssertionError("sparse loop ran")):
+        return f * g
+
+
+def sparse_product(f, g):
+    """f * g with the Kronecker branch disabled: only the sparse loop can answer."""
+    with mock.patch.object(series, "_kronecker_mul", side_effect=AssertionError("Kronecker ran")):
+        return f * g
+
+
 class TestRingLaws:
     @settings(max_examples=100)
     @given(coeff_lists, coeff_lists)
@@ -250,6 +302,72 @@ class TestRingLaws:
         if sh <= f.order:
             mono[sh] = c
         assert f.scale_shift(c, sh) == f * IntSeries(mono)
+
+
+class TestKroneckerProduct:
+    """The dense branch of __mul__ against brute_mul, the schoolbook oracle."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(dense_coeffs(), dense_coeffs())
+    def test_dense_operands_match_brute_force(self, a, b):
+        # independent orders: the product truncates to the smaller one
+        got = dense_product(IntSeries(a), IntSeries(b))
+        assert got.order == min(len(a), len(b)) - 1
+        assert got.coefficients() == tuple(brute_mul(a, b))
+
+    @settings(max_examples=10, deadline=None)
+    @given(dense_coeffs(bits=200))
+    def test_square_of_large_coefficients(self, a):
+        f = IntSeries(a)
+        assert dense_product(f, f).coefficients() == tuple(brute_mul(a, a))
+
+    @settings(max_examples=15, deadline=None)
+    @given(dense_coeffs(), dense_coeffs(), st.integers(min_value=1, max_value=2**200))
+    def test_negative_high_slots(self, a, b, top):
+        # the top slots of the full, untruncated product are negative: the
+        # sign bias must cover them or the packed product is a negative int
+        n = min(len(a), len(b))
+        a, b = a[:n], b[:n]
+        a[-3:] = [-top, -top, -top]
+        b[-3:] = [top, top, top]
+        got = dense_product(IntSeries(a), IntSeries(b))
+        assert got.coefficients() == tuple(brute_mul(a, b))
+
+    def test_negative_high_slot_example(self):
+        a = [1] * 200 + [-(2**100)]
+        b = [1] * 200 + [2**100]
+        assert dense_product(IntSeries(a), IntSeries(b)).coefficients() == tuple(brute_mul(a, b))
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ([0], [0]),
+            ([5], [-7]),
+            ([0] * 50, [0] * 50),
+            ([0] * 50, list(range(-25, 25))),
+            ([-(2**200)] * 30, [2**200] * 30),
+        ],
+    )
+    def test_kernel_on_zero_operands_and_order_zero(self, a, b):
+        n = len(a) - 1
+        assert _kronecker_mul(tuple(a), tuple(b), n) == brute_mul(a, b)
+        assert (IntSeries(a) * IntSeries(b)).coefficients() == tuple(brute_mul(a, b))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=13, max_value=800), st.booleans(), st.integers(min_value=0))
+    @example(n=13, above=False, seed=0)
+    @example(n=800, above=True, seed=0)
+    def test_sparse_times_dense_on_both_sides_of_the_crossover(self, n, above, seed):
+        # nnz = cutoff runs the sparse loop, nnz = cutoff + 1 the Kronecker branch
+        rng = random.Random(seed)
+        sparse = [0] * (n + 1)
+        for i in rng.sample(range(n + 1), _sparse_cutoff(n) + above):
+            sparse[i] = rng.choice([-3, -1, 1, 2**70])
+        dense = [rng.randint(-(2**80), 2**80) or 1 for _ in range(n + 1)]
+        product = dense_product if above else sparse_product
+        want = tuple(brute_mul(sparse, dense))
+        assert product(IntSeries(sparse), IntSeries(dense)).coefficients() == want
+        assert product(IntSeries(dense), IntSeries(sparse)).coefficients() == want
 
 
 def test_zero_and_one():
