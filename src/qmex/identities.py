@@ -26,6 +26,7 @@ from .qfunctions import (
     RefinedKind,
     _CATALOGUE,
     _FAMILIES,
+    _check_order,
     _slices,
     a_d_series,
     a_series,
@@ -296,7 +297,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
     )
     so(
         "sigma-l-oracle",
-        "[q^n] sum_m m q^m/(q;q)_m = largest-part sum over all partitions of n",
+        "[q^n] sum_m d(m) q^m/(q;q)_inf = largest-part sum over all partitions of n",
         enumerated(sigma_L_series, lambda n: stat_sum_oracle(StatKind.LARGEST, n)),
         rng=30,
     )
@@ -374,13 +375,16 @@ def verify_descriptor(
 ) -> VerificationReport:
     """Run every check of a descriptor; FAIL carries the smallest bad n.
 
-    Every oracle is evaluated at the top of the range first, so a range
-    beyond the enumeration budget raises ValueError before any series
-    is built or any smaller n is enumerated.
+    A series-series order above MAX_ORDER raises ValueError before any
+    series is built. Every oracle is evaluated at the top of the range
+    first, so a range beyond the enumeration budget raises ValueError
+    before any series is built or any smaller n is enumerated.
     """
     rng = desc.default_range if order_or_nmax is None else order_or_nmax
     if rng < 0:
         raise ValueError("verification range must be non-negative")
+    if desc.comparison is Comparison.SERIES_SERIES:
+        _check_order(rng)
     for check in desc.checks:
         if isinstance(check, OraclePair):
             check.oracle(rng)

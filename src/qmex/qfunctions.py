@@ -12,19 +12,20 @@ by _partial_sum: the ratio of consecutive terms is a monomial times one
 or two binomial factors, so each new term costs O(N) list work instead
 of a fresh O(N^2) product. A term enters the sum iff its minimal
 exponent is at most the truncation order. The two maex double sums are
-evaluated in Horner form, innermost factor first, so neither needs a
-dense product. The slices of the refined families come from one
-running quotient per family (_slices): the tail (-q^{m+1};q)_inf of a
-mex slice is the previous tail divided by (1 + q^m), O(order) a step.
-(-q;q)_inf itself, the factor most builders end with, is
-(q^2;q^2)_inf / (q;q)_inf, two series that Euler's pentagonal theorem
-makes sparse (_euler_product).
+evaluated in Horner form, innermost factor first, O(N) list work a
+step and no dense product. The slices of the refined families come
+from one running quotient per family (_slices): the tail
+(-q^{m+1};q)_inf of a mex slice is the previous tail divided by
+(1 + q^m), O(order) a step. 1/(q;q)_inf is stored once
+(partition_gen), the inverse of a series that Euler's pentagonal
+theorem makes sparse (_euler_product); (-q;q)_inf, the factor most
+builders end with, is (q^2;q^2)_inf times it, and the largest-part sum
+is it times the divisor-count series.
 
 Every builder is served from one store: the longest series built per
 key serves each lower order by slicing. clear_cache() empties it, and
 each builder's cache_info() counts its hits and misses. An order above
-MAX_ORDER (CHERN_MAX_ORDER for chern_sigma_maex_series) raises
-ValueError before the store is read.
+MAX_ORDER raises ValueError before the store is read.
 
 Naming follows the statistics themselves: mex is the least missing
 part, moex the least missing odd part, maex the largest missing value
@@ -78,13 +79,11 @@ class NamedSeries:
     series: IntSeries
 
 
-# Largest order any builder accepts, and the lower one of the O(N^2 log N)
-# chern_sigma_maex_series. The slowest routes take 11-12 s (sigma-l),
-# 4.9 s (sigma-d-moex alt1) and 2.7 s (sigma-d-maex) at MAX_ORDER, every
-# other route under 1.5 s, and chern 6.7 s at CHERN_MAX_ORDER (cold
-# builds, 2-core x86-64 VM, Python 3.11).
+# Largest order any builder accepts. Measured cold builds at MAX_ORDER
+# take 3.9-4.8 s (sigma-d-moex alt1), 3.2-3.9 s (chern-sigma-maex),
+# 2.0-2.5 s (sigma-d-maex) and at most 1.3 s for every other route
+# (each in a fresh process, 2-core x86-64 VM, Python 3.11).
 MAX_ORDER = 8000
-CHERN_MAX_ORDER = 3000
 
 # Calls of one builder served from the store (hits) and built (misses).
 CacheInfo = namedtuple("CacheInfo", "hits misses")
@@ -100,10 +99,16 @@ def _bad_form(name: str, form: Form) -> ValueError:
     return ValueError(f"{name} has no form {form.value!r}")
 
 
-def _builder(name: str | None = None, forms: tuple[Form, ...] = (), max_order: int = MAX_ORDER):
+def _check_order(order: int) -> None:
+    """Raise ValueError for an order outside 0..MAX_ORDER."""
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"order {order} is outside the supported range 0..{MAX_ORDER}")
+
+
+def _builder(name: str | None = None, forms: tuple[Form, ...] = ()):
     """Serve a series builder from _STORE and catalogue it under name.
 
-    An order outside 0..max_order or a form outside forms raises before
+    An order outside 0..MAX_ORDER or a form outside forms raises before
     the store is read. A call at the stored order returns the stored
     series itself, a lower order a slice of it, and a higher order
     builds and replaces it.
@@ -119,10 +124,7 @@ def _builder(name: str | None = None, forms: tuple[Form, ...] = (), max_order: i
             bound.apply_defaults()
             params = bound.arguments
             order = params.pop("order")
-            if order < 0:
-                raise ValueError("order must be non-negative")
-            if order > max_order:
-                raise ValueError(f"order {order} is above the largest supported order {max_order}")
+            _check_order(order)
             if forms and params["form"] not in forms:
                 raise _bad_form(name, params["form"])
             key = (fn.__name__, *params.values())
@@ -236,15 +238,24 @@ def _euler_product(s: int, order: int) -> IntSeries:
     return IntSeries._trusted(c)
 
 
+@_builder()
+def partition_gen(order: int) -> IntSeries:
+    """1/(q;q)_inf prefix: coefficient n counts all partitions of n.
+
+    The inverse of the sparse pentagonal series: the inversion walks
+    O(sqrt(order)) terms per coefficient, O(order^1.5) in all.
+    """
+    return _euler_product(1, order).invert()
+
+
 @_builder("distinct")
 def distinct_gen(order: int) -> IntSeries:
     """(-q;q)_inf prefix: coefficient n counts partitions of n into distinct parts.
 
-    Built as (q^2;q^2)_inf / (q;q)_inf: both Euler products are sparse,
-    so the inversion walks O(sqrt(order)) terms per coefficient and the
-    product takes the sparse loop, O(order^1.5) in all.
+    Built as (q^2;q^2)_inf / (q;q)_inf: the Euler product is sparse, so
+    the product with the stored partition_gen takes the sparse loop.
     """
-    return _euler_product(2, order) * _euler_product(1, order).invert()
+    return _euler_product(2, order) * partition_gen(order)
 
 
 @_builder("sigma-d-mex", (Form.CANONICAL, Form.ALT1))
@@ -350,23 +361,29 @@ def sigma_d_maex_series(order: int) -> IntSeries:
     return IntSeries._trusted(acc)
 
 
-@_builder("chern-sigma-maex", max_order=CHERN_MAX_ORDER)
+@_builder("chern-sigma-maex")
 def chern_sigma_maex_series(order: int) -> IntSeries:
     """Sum of the maximal excludant over all partitions.
 
-    Double sum  sum_{n>=1} n / (q;q)_{n-1} * inner_n,
-    inner_n = sum_{m>=1} q^{m(n+1)} (-q;q)_{m-1}, grouping by maex
-    value n. Evaluated in Horner form from n = order - 1 down (inner_n
-    vanishes beyond), acc <- acc / (1 - q^n) + n inner_n, with inner_n
-    a partial sum of about order/n terms: O(order^2 log order) binomial
-    kernels and no dense product.
+    A partition with maex = k and largest part L omits k, holds each of
+    k+1..L at least once and is free below k (Chern, "Partitions and
+    the maximal excludant", 2021). These runs above the gap give
+    q^{T(L)-T(k)} (1 - q^k) / (q;q)_L with T(j) = j(j+1)/2, so the sum
+    is sum_{L>=2} P_L / (q;q)_L, P_L = sum_{k<L} k (1 - q^k) q^{T(L)-T(k)}.
+    Evaluated in Horner form from L = order down (P_L starts at q^L),
+    acc <- (acc + P_L) / (1 - q^L) with P_L added sparsely: one binomial
+    division a step, O(order^2).
     """
     acc = [0] * (order + 1)
-    for n in range(order - 1, 0, -1):
-        _div_binomial_inplace(acc, -1, n)
-        # t_m = q^{m(n+1)} (-q;q)_{m-1}, ratio q^{n+1} (1 + q^{m-1})
-        steps = ((n, n + 1, ((1, m - 1, 1),) if m > 1 else ()) for m in count(1))
-        acc = [a + b for a, b in zip(acc, _partial_sum(order, steps))]
+    for L in range(order, 0, -1):
+        for k in range(L - 1, 0, -1):
+            e = (L * (L + 1) - k * (k + 1)) // 2
+            if e > order:
+                break
+            acc[e] += k
+            if e + k <= order:
+                acc[e + k] -= k
+        _div_binomial_inplace(acc, -1, L)
     return IntSeries._trusted(acc)
 
 
@@ -483,8 +500,7 @@ def a_series(order: int) -> IntSeries:
     A partition with mex = m contains 1..m-1 and omits m, so the slice
     generating function is q^{m(m-1)/2} (1-q^m) / (q;q)_inf. Summing
     over odd m telescopes the sparse factor into an alternating theta
-    over triangular numbers; the 1/(q;q)_inf factor is the inverse of
-    the sparse pentagonal series.
+    over triangular numbers, times the stored partition_gen.
     """
     sparse = [0] * (order + 1)
     m = 1
@@ -493,14 +509,24 @@ def a_series(order: int) -> IntSeries:
         if m * (m + 1) // 2 <= order:
             sparse[m * (m + 1) // 2] -= 1
         m += 2
-    return _euler_product(1, order).invert() * IntSeries._trusted(sparse)
+    return partition_gen(order) * IntSeries._trusted(sparse)
 
 
 @_builder("sigma-l")
 def sigma_L_series(order: int) -> IntSeries:
-    """Sum of the largest part over all partitions: sum_{m>=1} m q^m / (q;q)_m."""
-    # t_m = q^m / (q;q)_m, ratio q / (1 - q^m)
-    return IntSeries._trusted(_partial_sum(order, ((m, 1, ((-1, m, -1),)) for m in count(1))))
+    """Sum of the largest part over all partitions.
+
+    Conjugation swaps the largest part with the number of parts
+    (Andrews, The Theory of Partitions, 1976), so this is the sum of the
+    number of parts. The parts equal to k, counted over all partitions,
+    have generating function q^k / (1 - q^k) / (q;q)_inf; summed over k
+    that is partition_gen times sum_n d(n) q^n, d(n) the number of
+    divisors of n. d comes from a divisor sieve, O(order log order).
+    """
+    d = [0] * (order + 1)
+    for k in range(1, order + 1):
+        d[k::k] = [x + 1 for x in d[k::k]]
+    return partition_gen(order) * IntSeries._trusted(d)
 
 
 # ----------------------------------------------------------------------

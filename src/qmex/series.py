@@ -169,25 +169,6 @@ class IntSeries:
                 g[m] = -c0 * acc
         return IntSeries._trusted(g)
 
-    def scale_shift(self, c: int, a: int = 0) -> "IntSeries":
-        """Return c * q^a * self, truncated to the original order.
-
-        Coefficients below index a are zero and the top a coefficients
-        fall off the end. The shift must be non-negative.
-        """
-        if not isinstance(c, int):
-            raise TypeError("scale factor must be int")
-        if a < 0:
-            raise ValueError("shift exponent must be non-negative")
-        n = self.order
-        out = [0] * (n + 1)
-        if c:
-            for j in range(a, n + 1):
-                v = self._coeffs[j - a]
-                if v:
-                    out[j] = c * v
-        return IntSeries._trusted(out)
-
     def eval_at(self, x: float) -> float:
         """Evaluate the truncated polynomial at a float point in (0, 1).
 
@@ -230,10 +211,6 @@ def make_series(coeffs: Sequence[int], order: int) -> IntSeries:
     return IntSeries(cs)
 
 
-def zero(order: int) -> IntSeries:
-    return IntSeries([0] * (order + 1))
-
-
 def one(order: int) -> IntSeries:
     return IntSeries([1] + [0] * order)
 
@@ -260,19 +237,10 @@ def poch(sign: int, a: int, step: int, count: int | None, order: int) -> IntSeri
         raise ValueError("order must be non-negative")
     if count is not None and count < 0:
         raise ValueError("count must be non-negative or INFINITE")
-    c = [0] * (order + 1)
-    c[0] = 1
-    if count is None:
-        e = a
-        while e <= order:
-            _mul_binomial_inplace(c, sign, e)
-            e += step
-    else:
-        for k in range(count):
-            e = a + k * step
-            if e > order:
-                break  # later factors only have higher exponents
-            _mul_binomial_inplace(c, sign, e)
+    c = [1] + [0] * order
+    stop = order + 1 if count is None else min(order + 1, a + count * step)
+    for e in range(a, stop, step):
+        _mul_binomial_inplace(c, sign, e)
     return IntSeries._trusted(c)
 
 

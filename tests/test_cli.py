@@ -271,20 +271,39 @@ class TestOrderCap:
         assert not out_file.exists()
 
     def test_caps_bound_each_builder(self, capsys, no_build):
-        from qmex.qfunctions import CHERN_MAX_ORDER, MAX_ORDER
+        from qmex.qfunctions import _CATALOGUE, MAX_ORDER, Form, available_series
 
-        code, out = invoke(capsys, "series", "sigma-l", "--order", str(MAX_ORDER + 1))
-        assert (code, out) == (2, "")
-        code, out = invoke(capsys, "series", "chern-sigma-maex", "--order", str(CHERN_MAX_ORDER + 1))
-        assert (code, out) == (2, "")
+        for name in available_series():
+            for form in _CATALOGUE[name][1] or (Form.CANONICAL,):
+                argv = ["series", name, "--form", form.value, "--order"]
+                code, out = invoke(capsys, *argv, str(MAX_ORDER + 1))
+                assert (code, out) == (2, ""), (name, form)
+                # MAX_ORDER itself passes the cap and reaches the store
+                with pytest.raises(AssertionError, match="store read"):
+                    invoke(capsys, *argv, str(MAX_ORDER))
+
+    def test_verify_order_above_the_cap_refused_before_any_work(self, capsys, monkeypatch, no_build):
+        from qmex import identities
+        from qmex.identities import Comparison, registry
+        from qmex.qfunctions import MAX_ORDER
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("identity route ran")
+
+        monkeypatch.setattr(identities, "poch", no_work)
+        monkeypatch.setattr(identities, "_slices", no_work)
+        names = [d.name for d in registry() if d.comparison is Comparison.SERIES_SERIES]
+        assert names
+        for argv in [["--identity", name] for name in names] + [["--all"]]:
+            code, out = invoke(capsys, "verify", *argv, "--order", str(MAX_ORDER + 1))
+            assert (code, out) == (2, ""), argv
 
     def test_caps_leave_room_for_the_orders_in_use(self):
         from qmex.asymptotics import required_order
-        from qmex.qfunctions import CHERN_MAX_ORDER, MAX_ORDER, sigma_star_series
+        from qmex.qfunctions import MAX_ORDER, sigma_star_series
 
         # the order-2000 builds, chern at 400, and tauberian at t = 0.1
         assert MAX_ORDER >= max(2000, required_order(0.1))
-        assert 400 <= CHERN_MAX_ORDER < MAX_ORDER
         assert sigma_star_series(MAX_ORDER).order == MAX_ORDER
 
 

@@ -8,6 +8,7 @@ either side shows up as a disagreement rather than a stale constant.
 import hashlib
 import inspect
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +36,7 @@ from qmex.qfunctions import (
     clear_cache,
     dcount_series,
     distinct_gen,
+    partition_gen,
     refined_series,
     sigma_L_series,
     sigma_d_maex_series,
@@ -52,7 +54,6 @@ from qmex.series import (
     _shift_inplace,
     make_series,
     poch,
-    zero,
 )
 
 
@@ -142,6 +143,35 @@ def double_sum_chern(order):
     return tuple(total)
 
 
+def horner_chern(order):
+    """The Horner form chern-sigma-maex had before runs above the gap.
+
+    sum_{n>=1} n / (q;q)_{n-1} * inner_n with inner_n = sum_{m>=1}
+    q^{m(n+1)} (-q;q)_{m-1} a partial sum of its own, from n = order - 1
+    down: acc <- acc / (1 - q^n) + n inner_n, O(order^2 log order).
+    """
+    acc = [0] * (order + 1)
+    for n in range(order - 1, 0, -1):
+        _div_binomial_inplace(acc, -1, n)
+        # t_m = q^{m(n+1)} (-q;q)_{m-1}, ratio q^{n+1} (1 + q^{m-1})
+        steps = ((n, n + 1, ((1, m - 1, 1),) if m > 1 else ()) for m in count(1))
+        acc = [a + b for a, b in zip(acc, qfunctions._partial_sum(order, steps))]
+    return tuple(acc)
+
+
+def partial_sum_sigma_l(order):
+    """sum_{m>=1} m q^m / (q;q)_m by its term recurrence: sigma-l before conjugation."""
+    # t_m = q^m / (q;q)_m, ratio q / (1 - q^m)
+    return tuple(qfunctions._partial_sum(order, ((m, 1, ((-1, m, -1),)) for m in count(1))))
+
+
+def shifted(s, a):
+    """q^a * s at the order of s."""
+    c = list(s.coefficients())
+    _shift_inplace(c, a)
+    return IntSeries(c)
+
+
 def closed_form_slice(kind, k, order):
     """Slice k of a family from its closed form (kind None: dcount_series).
 
@@ -150,11 +180,11 @@ def closed_form_slice(kind, k, order):
     loop for MOEX, and poch times the sparse T_k for MAEX.
     """
     if kind is None:
-        return poch(1, k + 1, 1, INFINITE, order).scale_shift(1, k * (k + 1) // 2)
+        return shifted(poch(1, k + 1, 1, INFINITE, order), k * (k + 1) // 2)
     if kind is RefinedKind.MEX:
-        return poch(1, k + 1, 1, INFINITE, order).scale_shift(1, k * (k - 1) // 2)
+        return shifted(poch(1, k + 1, 1, INFINITE, order), k * (k - 1) // 2)
     if kind is RefinedKind.OMEX:
-        return poch(1, 2 * k + 2, 1, INFINITE, order).scale_shift(1, k * (2 * k + 1))
+        return shifted(poch(1, 2 * k + 2, 1, INFINITE, order), k * (2 * k + 1))
     if kind is RefinedKind.MOEX:
         c = list(poch(1, 1, 1, INFINITE, order).coefficients())
         _shift_inplace(c, k * k)
@@ -171,9 +201,9 @@ def closed_form_slice(kind, k, order):
 
 def old_slice_sum(order, slices):
     """Sum of weight * slice over (weight, slice) pairs, one series addition each."""
-    total = zero(order)
+    total = IntSeries([0] * (order + 1))
     for weight, s in slices:
-        total = total + s.scale_shift(weight)
+        total = total + IntSeries([weight * c for c in s.coefficients()])
     return total
 
 
@@ -290,6 +320,19 @@ class TestDistinctFamilies:
     def test_chern_horner_matches_double_sum(self, order):
         assert chern_sigma_maex_series(order).coefficients() == double_sum_chern(order)
 
+    def test_chern_runs_match_old_horner(self):
+        clear_cache()
+        assert chern_sigma_maex_series(600).coefficients() == horner_chern(600)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=0, max_value=600))
+    @example(0)
+    @example(1)
+    @example(600)
+    def test_sigma_l_conjugation_matches_partial_sum(self, order):
+        clear_cache()
+        assert sigma_L_series(order).coefficients() == partial_sum_sigma_l(order)
+
     def test_maex_low_coefficients_vanish(self):
         s = sigma_d_maex_series(12)
         assert s.coefficient(0) == 0 and s.coefficient(1) == 0
@@ -299,6 +342,10 @@ class TestDistinctFamilies:
 
 class TestPentagonalRoute:
     """distinct_gen and a_series come from sparse Euler products, not poch."""
+
+    def test_partition_gen_counts_partitions(self):
+        want = tuple(sum(1 for _ in enum_partitions(n)) for n in range(21))
+        assert partition_gen(20).coefficients() == want
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([1, 2]), st.integers(min_value=0, max_value=600))
@@ -557,7 +604,7 @@ STORE_ROUTES = [
         (RefinedKind.MAEX, (1, 5)),
     )
     for index in indices
-] + [(dcount_series, {"i": i}) for i in (0, 3)]
+] + [(dcount_series, {"i": i}) for i in (0, 3)] + [(partition_gen, {})]
 
 
 class _NoAccess(dict):
@@ -575,7 +622,7 @@ class _NoAccess(dict):
 
 class TestStore:
     def test_routes_cover_the_catalogue(self):
-        catalogued = [r for r in STORE_ROUTES if r[0] not in (refined_series, dcount_series)]
+        catalogued = [r for r in STORE_ROUTES if r[0] not in (refined_series, dcount_series, partition_gen)]
         assert len(catalogued) == len(ROUTE_SHA256)
 
     @settings(max_examples=20, deadline=None)
