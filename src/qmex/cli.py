@@ -55,14 +55,14 @@ def _record(named: NamedSeries, meta: Optional[dict] = None) -> dict:
     }
 
 
-def _emit_series(named: NamedSeries, fmt: str, out=None) -> None:
+def _emit_series(named: NamedSeries, fmt: str, out=None, meta: Optional[dict] = None) -> None:
     out = out or sys.stdout
     if fmt == "csv":
         print("n,value", file=out)
         for n, c in enumerate(named.series.coefficients()):
             print(f"{n},{c}", file=out)
     else:
-        print(json.dumps(_record(named), indent=2), file=out)
+        print(json.dumps(_record(named, meta), indent=2), file=out)
 
 
 # ----------------------------------------------------------------------
@@ -138,14 +138,9 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     named = build_named(args.name, args.order, Form(args.form))
-    if args.format == "json":
-        stamp = datetime.now(timezone.utc).isoformat()
-        payload = json.dumps(_record(named, {"generated_at": stamp}), indent=2) + "\n"
-    else:
-        rows = ["n,value"] + [f"{n},{c}" for n, c in enumerate(named.series.coefficients())]
-        payload = "\n".join(rows) + "\n"
+    meta = {"generated_at": datetime.now(timezone.utc).isoformat()}
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+        _emit_series(named, args.format, fh, meta)
     print(f"wrote {args.out}")
     return 0
 

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional, Union
 
-from .partitions import CountKind, StatKind, refined_count_oracle, stat_sum_oracle, two_colored_distinct_count
+from .partitions import (
+    CountKind,
+    StatKind,
+    _pentagonal,
+    refined_count_oracle,
+    stat_sum_oracle,
+    two_colored_distinct_count,
+)
 from .qfunctions import (
     Form,
     RefinedKind,
@@ -455,13 +462,7 @@ def parity_check(nmax: int) -> VerificationReport:
             return VerificationReport(
                 "parity", nmax, Status.FAIL, Mismatch(n, got, want, "oracle-gate")
             )
-    special = set()
-    j = 1
-    while j * (3 * j - 1) <= nmax:
-        special.add(j * (3 * j - 1))
-        if j * (3 * j + 1) <= nmax:
-            special.add(j * (3 * j + 1))
-        j += 1
+    special = {2 * g for g, _ in _pentagonal(nmax // 2)}
     smex = sigma_mex_series(nmax)
     for n in range(1, nmax + 1):
         odd = a.coefficient(n) % 2

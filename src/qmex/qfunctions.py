@@ -7,20 +7,22 @@ through genuinely different formulas and are compared coefficientwise
 by the identity registry, so a bug in one route shows up as a mismatch
 rather than silently agreeing with itself.
 
-Partial sums of q-hypergeometric type are accumulated incrementally
-by _partial_sum: the ratio of consecutive terms is a monomial times one
-or two binomial factors, so each new term costs O(N) list work instead
-of a fresh O(N^2) product. A term enters the sum iff its minimal
-exponent is at most the truncation order. The two maex double sums are
-evaluated in Horner form, innermost factor first, O(N) list work a
-step and no dense product. The slices of the refined families come
-from one running quotient per family (_slices): the tail
-(-q^{m+1};q)_inf of a mex slice is the previous tail divided by
-(1 + q^m), O(order) a step. 1/(q;q)_inf is stored once
-(partition_gen), the inverse of a series that Euler's pentagonal
-theorem makes sparse (_euler_product); (-q;q)_inf, the factor most
-builders end with, is (q^2;q^2)_inf times it, and the largest-part sum
-is it times the divisor-count series.
+Every nested q-series sum, sum_n t_n A_n with the ratio t_n / t_{n-1}
+a monomial times one or two binomial factors and A_n sparse, runs
+through one kernel, _nested_sum, which evaluates it by Horner's rule
+from the innermost term out. That covers the seven q-hypergeometric
+partial sums (A_n a constant weight) and the two maex double sums (A_n
+the sparse inner sum over parts above the gap). Each step is O(N) list
+work on a window that holds only the coefficients the outer terms can
+still reach, with no dense product and nothing kept per step.
+
+The slices of the refined families come from one running quotient per
+family (_slices): the tail (-q^{m+1};q)_inf of a mex slice is the
+previous tail divided by (1 + q^m), O(order) a step. 1/(q;q)_inf is
+stored once (partition_gen), the inverse of a series that Euler's
+pentagonal theorem makes sparse (_euler_product); (-q;q)_inf, the
+factor most builders end with, is (q^2;q^2)_inf times it, and the
+largest-part sum is it times the divisor-count series.
 
 Every builder is served from one store: the longest series built per
 key serves each lower order by slicing. clear_cache() empties it, and
@@ -41,7 +43,7 @@ import inspect
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import wraps
-from itertools import chain, count
+from itertools import count
 from typing import Callable, Iterable, Iterator
 
 from .partitions import _pentagonal
@@ -80,9 +82,9 @@ class NamedSeries:
 
 
 # Largest order any builder accepts. Measured cold builds at MAX_ORDER
-# take 3.9-4.8 s (sigma-d-moex alt1), 3.2-3.9 s (chern-sigma-maex),
-# 2.0-2.5 s (sigma-d-maex) and at most 1.3 s for every other route
-# (each in a fresh process, 2-core x86-64 VM, Python 3.11).
+# take 1.9-2.0 s (chern-sigma-maex), 1.3-1.5 s (sigma-d-moex alt1),
+# 1.1-1.2 s (sigma-d-maex, sigma-mex) and at most 1.0 s for every other
+# route (two fresh processes each, 2-core x86-64 VM, Python 3.11).
 MAX_ORDER = 8000
 
 # Calls of one builder served from the store (hits) and built (misses).
@@ -151,48 +153,46 @@ def clear_cache() -> None:
         counts[:] = [0, 0]
 
 
-# One step (w_n, a_n, binomials) of a partial sum; see _partial_sum.
-_Step = tuple[int, int, tuple[tuple[int, int, int], ...]]
-
-# The n = 0 term 1 of sums that start there.
-_FIRST = (1, 0, ())
+# One step (A_n, a_n, B_n) of a nested sum; see _nested_sum.
+_Step = tuple[Iterable[tuple[int, int]], int, tuple[tuple[int, int, int], ...]]
 
 
-def _partial_sum(order: int, steps: Iterable[_Step]) -> list[int]:
-    """Coefficients 0..order of sum_n w_n t_n for a term recurrence.
+def _nested_sum(order: int, step: Callable[[int], _Step], first: int) -> list[int]:
+    """Coefficients 0..order of sum_{n>=first} t_n A_n, by Horner's rule.
 
-    steps yields (w_n, a_n, binomials) for n = 0, 1, ...; starting from
-    1, each term is t_n = q^{a_n} t_{n-1} prod (1 + s q^e)^p over the
-    (s, e, p) in binomials, p being +1 (multiply) or -1 (divide). Every
-    binomial has constant term 1, so a_0 + ... + a_n is the lowest
-    exponent of t_n: the sum stops at the first step where it passes
-    order, and the shifts must be non-negative for that to be exact.
+    step(n) gives (A_n, a_n, B_n): the addend A_n as (exponent,
+    coefficient) pairs in ascending exponent, a shift a_n >= 0 and the
+    binomials B_n as (s, e, p), each the factor (1 + s q^e)^p with p = +1
+    (multiply) or -1 (divide). The terms are t_n = q^{a_n} B_n t_{n-1}
+    from t_{first-1} = 1. Every binomial has constant term 1, so
+    low_n = a_first + ... + a_n is the lowest exponent of t_n; the shifts
+    must pass order eventually, and the top n is the last with
+    low_n <= order. From there down, acc <- q^{a_n} B_n (A_n + acc)
+    keeps the order + 1 - low_{n-1} coefficients that t_{n-1} leaves
+    room for, so the list grows by a_n a step and step(n) is called
+    again rather than kept.
     """
-    total = [0] * (order + 1)
-    term = [1] + [0] * order
     low = 0
-    for weight, shift, binomials in steps:
-        low += shift
-        if low > order:
+    for stop in count(first):
+        shift = step(stop)[1]
+        if low + shift > order:
             break
-        _shift_inplace(term, shift)
+        low += shift
+    acc = [0] * (order + 1 - low)
+    for n in range(stop - 1, first - 1, -1):
+        addend, shift, binomials = step(n)
+        width = len(acc)
+        for e, c in addend:
+            if e >= width:
+                break
+            acc[e] += c
         for sign, e, power in binomials:
             if power > 0:
-                _mul_binomial_inplace(term, sign, e)
+                _mul_binomial_inplace(acc, sign, e)
             else:
-                _div_binomial_inplace(term, sign, e)
-        for j in range(low, order + 1):
-            v = term[j]
-            if v:
-                total[j] += weight * v
-    return total
-
-
-def _triangular_steps(sign: int) -> Iterator[_Step]:
-    """t_n = q^{n(n+1)/2} / (-q;q)_n weighted sign^n: ratio q^n / (1 + q^n)."""
-    yield _FIRST
-    for n in count(1):
-        yield sign**n, n, ((1, n, -1),)
+                _div_binomial_inplace(acc, sign, e)
+        _shift_inplace(acc, shift)
+    return acc
 
 
 # ----------------------------------------------------------------------
@@ -209,17 +209,19 @@ def sigma_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     registered identities.
     """
     if form is Form.CANONICAL:
-        return IntSeries._trusted(_partial_sum(order, _triangular_steps(1)))
+        # t_n = q^{n(n+1)/2} / (-q;q)_n, ratio q^n / (1 + q^n)
+        step = lambda n: (((0, 1),), n, ((1, n, -1),) if n else ())
+        return IntSeries._trusted(_nested_sum(order, step, 0))
     # t_m = q^{m(m-1)/2} / (-q;q)_m, ratio q^{m-1} / (1 + q^m)
-    return IntSeries._trusted(_partial_sum(order, ((m, m - 1, ((1, m, -1),)) for m in count(1))))
+    return IntSeries._trusted(_nested_sum(order, lambda m: (((0, m),), m - 1, ((1, m, -1),)), 1))
 
 
 @_builder("sigma-star")
 def sigma_star_series(order: int) -> IntSeries:
     """Companion series 2 * sum_{n>=1} (-1)^n q^{n^2} / (q;q^2)_n."""
     # t_n = q^{n^2} / (q;q^2)_n, ratio q^{2n-1} / (1 - q^{2n-1})
-    steps = ((2 * (-1) ** n, 2 * n - 1, ((-1, 2 * n - 1, -1),)) for n in count(1))
-    return IntSeries._trusted(_partial_sum(order, steps))
+    step = lambda n: (((0, 2 * (-1) ** n),), 2 * n - 1, ((-1, 2 * n - 1, -1),))
+    return IntSeries._trusted(_nested_sum(order, step, 1))
 
 
 # ----------------------------------------------------------------------
@@ -289,14 +291,17 @@ def a_d_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     ALT1:      (-q;q)_inf * sum_{n>=0} q^{n(2n+1)} / (-q;q)_{2n+1}.
     """
     if form is Form.CANONICAL:
-        inner = _partial_sum(order, _triangular_steps(-1))
+        # t_n = q^{n(n+1)/2} / (-q;q)_n, ratio q^n / (1 + q^n)
+        step = lambda n: (((0, (-1) ** n),), n, ((1, n, -1),) if n else ())
+        inner = _nested_sum(order, step, 0)
     else:
         # t_0 = 1/(1+q), then ratio q^{4n-1} / ((1+q^{2n})(1+q^{2n+1}))
-        steps = chain(
-            [(1, 0, ((1, 1, -1),))],
-            ((1, 4 * n - 1, ((1, 2 * n, -1), (1, 2 * n + 1, -1))) for n in count(1)),
-        )
-        inner = _partial_sum(order, steps)
+        def step(n: int) -> _Step:
+            if n == 0:
+                return ((0, 1),), 0, ((1, 1, -1),)
+            return ((0, 1),), 4 * n - 1, ((1, 2 * n, -1), (1, 2 * n + 1, -1))
+
+        inner = _nested_sum(order, step, 0)
     return distinct_gen(order) * IntSeries._trusted(inner)
 
 
@@ -312,20 +317,16 @@ def sigma_d_moex_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     """
     if form is Form.CANONICAL:
         # ratio q^{2n-1} / (1 + q^{2n-1})
-        steps = ((2, 2 * n - 1, ((1, 2 * n - 1, -1),)) for n in count(1))
-        inner = _partial_sum(order, chain([_FIRST], steps))
+        inner = _nested_sum(order, lambda n: (((0, 2),), 2 * n - 1, ((1, 2 * n - 1, -1),)), 1)
     elif form is Form.ALT1:
         # t_n = q^n (q^2;q^2)_{n-1}: shift by 1, then a new factor
         # (1 - q^{2(n-1)}) appears for n >= 2
-        steps = (
-            (2 * (-1) ** (n - 1), 1, ((-1, 2 * (n - 1), 1),) if n >= 2 else ())
-            for n in count(1)
-        )
-        inner = _partial_sum(order, chain([_FIRST], steps))
+        step = lambda n: (((0, -2 * (-1) ** n),), 1, ((-1, 2 * n - 2, 1),) if n > 1 else ())
+        inner = _nested_sum(order, step, 1)
     else:
         star = sigma_star_series(order).coefficients()
         inner = [(-c if j % 2 else c) for j, c in enumerate(star)]  # q -> -q
-        inner[0] += 1
+    inner[0] += 1
     return distinct_gen(order) * IntSeries._trusted(inner)
 
 
@@ -349,16 +350,16 @@ def sigma_d_maex_series(order: int) -> IntSeries:
 
     Double sum  sum_{k>=1} k (-q;q)_{k-1} T_k,  T_k = sum_{m>=1} q^{m(m+1)/2 + km},
     grouping by maex value k and by the number m of parts above the
-    gap. Evaluated in Horner form from k = order - 1 down (T_k vanishes
-    beyond), acc <- acc (1 + q^k) + k T_k with T_k added sparsely:
-    O(order^2). Constant and linear coefficients are zero.
+    gap. As a nested sum t_k = q^k (-q;q)_{k-1}, ratio q (1 + q^{k-1}),
+    and A_k = k T_k / q^k, added sparsely: O(order^2). Constant and
+    linear coefficients are zero.
     """
-    acc = [0] * (order + 1)
-    for k in range(order - 1, 0, -1):
-        _mul_binomial_inplace(acc, 1, k)
-        for e in _maex_exponents(k, order):
-            acc[e] += k
-    return IntSeries._trusted(acc)
+
+    def step(k: int) -> _Step:
+        addend = ((e - k, k) for e in _maex_exponents(k, order))
+        return addend, 1, ((1, k - 1, 1),) if k > 1 else ()
+
+    return IntSeries._trusted(_nested_sum(order, step, 1))
 
 
 @_builder("chern-sigma-maex")
@@ -370,21 +371,20 @@ def chern_sigma_maex_series(order: int) -> IntSeries:
     the maximal excludant", 2021). These runs above the gap give
     q^{T(L)-T(k)} (1 - q^k) / (q;q)_L with T(j) = j(j+1)/2, so the sum
     is sum_{L>=2} P_L / (q;q)_L, P_L = sum_{k<L} k (1 - q^k) q^{T(L)-T(k)}.
-    Evaluated in Horner form from L = order down (P_L starts at q^L),
-    acc <- (acc + P_L) / (1 - q^L) with P_L added sparsely: one binomial
+    As a nested sum t_L = q^L / (q;q)_L, ratio q / (1 - q^L), and
+    A_L = P_L / q^L, which telescopes to
+    (L-1) - sum_{j<=L-2} q^{T(L-1)-T(j)}, added sparsely: one binomial
     division a step, O(order^2).
     """
-    acc = [0] * (order + 1)
-    for L in range(order, 0, -1):
-        for k in range(L - 1, 0, -1):
-            e = (L * (L + 1) - k * (k + 1)) // 2
-            if e > order:
-                break
-            acc[e] += k
-            if e + k <= order:
-                acc[e + k] -= k
-        _div_binomial_inplace(acc, -1, L)
-    return IntSeries._trusted(acc)
+
+    def addend(L: int) -> Iterator[tuple[int, int]]:
+        yield 0, L - 1
+        e = 0
+        for j in range(L - 2, -1, -1):
+            e += j + 1  # T(L-1) - T(j)
+            yield e, -1
+
+    return IntSeries._trusted(_nested_sum(order, lambda L: (addend(L), 1, ((-1, L, -1),)), 1))
 
 
 # ----------------------------------------------------------------------

@@ -308,10 +308,10 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
 # ----------------------------------------------------------------------
 # in-place list kernels
 #
-# These operate on plain coefficient lists so that incremental series
-# builders (partial sums with term ratios that are single binomials) can
-# run in O(N) per step. They are shared with the builder module and are
-# not part of the public surface.
+# These operate on plain coefficient lists so that the nested sums and
+# slice streams of the builder module, whose steps are single binomials
+# and shifts, run in O(N) per step. They are not part of the public
+# surface.
 
 
 def _mul_binomial_inplace(c: list[int], sign: int, m: int) -> None:
@@ -341,11 +341,5 @@ def _div_binomial_inplace(c: list[int], sign: int, m: int) -> None:
 
 
 def _shift_inplace(c: list[int], a: int) -> None:
-    """c := q^a * c at fixed length: prepend a zeros, drop the top a."""
-    if a <= 0:
-        return
-    n = len(c)
-    if a >= n:
-        c[:] = [0] * n
-    else:
-        c[:] = [0] * a + c[: n - a]
+    """c := q^a * c, growing: prepend a zeros (none for a <= 0)."""
+    c[:0] = [0] * a

@@ -251,7 +251,7 @@ class TestOrderCap:
             raise AssertionError("builder body ran")
 
         monkeypatch.setattr(qfunctions, "_STORE", _NoStore())
-        for name in ("_euler_product", "_partial_sum", "_slices", "_mul_binomial_inplace", "_div_binomial_inplace"):
+        for name in ("_euler_product", "_nested_sum", "_slices", "_mul_binomial_inplace", "_div_binomial_inplace"):
             monkeypatch.setattr(qfunctions, name, no_work)
 
     @pytest.mark.parametrize(
@@ -326,6 +326,15 @@ class TestExportCommand:
         )
         assert code == 0
         assert target.read_text() == "n,value\n0,1\n1,1\n2,1\n3,2\n4,2\n"
+
+    def test_json_file_equals_series_stdout_but_for_the_stamp(self, capsys, tmp_path):
+        target = tmp_path / "out.json"
+        code, _ = invoke(capsys, "export", "a-d", "--order", "30", "--form", "alt1", "--out", str(target))
+        assert code == 0
+        record = json.loads(target.read_text())
+        del record["meta"]["generated_at"]
+        _, out = invoke(capsys, "series", "a-d", "--order", "30", "--form", "alt1", "--format", "json")
+        assert json.dumps(record, indent=2) + "\n" == out
 
     def test_unwritable_path(self, capsys, tmp_path):
         code, _ = invoke(

@@ -8,7 +8,7 @@ either side shows up as a disagreement rather than a stale constant.
 import hashlib
 import inspect
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 
 import pytest
 from hypothesis import example, given, settings
@@ -143,6 +143,101 @@ def double_sum_chern(order):
     return tuple(total)
 
 
+def forward_partial_sum(order, steps):
+    """Coefficients 0..order of sum_n w_n t_n, accumulated term by term.
+
+    The forward loop the builders ran before the nested-sum kernel:
+    steps yields (w_n, a_n, binomials) for n = 0, 1, ...; starting from
+    1, each term is t_n = q^{a_n} t_{n-1} prod (1 + s q^e)^p over the
+    (s, e, p) in binomials, and the sum stops at the first step whose
+    lowest exponent a_0 + ... + a_n passes order.
+    """
+    total = [0] * (order + 1)
+    term = [1] + [0] * order
+    low = 0
+    for weight, shift, binomials in steps:
+        low += shift
+        if low > order:
+            break
+        _shift_inplace(term, shift)
+        del term[order + 1 :]
+        for sign, e, power in binomials:
+            if power > 0:
+                _mul_binomial_inplace(term, sign, e)
+            else:
+                _div_binomial_inplace(term, sign, e)
+        for j in range(low, order + 1):
+            v = term[j]
+            if v:
+                total[j] += weight * v
+    return total
+
+
+def triangular_steps(sign):
+    """t_n = q^{n(n+1)/2} / (-q;q)_n weighted sign^n: ratio q^n / (1 + q^n)."""
+    yield 1, 0, ()
+    for n in count(1):
+        yield sign**n, n, ((1, n, -1),)
+
+
+# (catalogued name, form) -> the forward step stream of its partial sum;
+# a-d and sigma-d-moex multiply their sum by distinct_gen.
+FORWARD_ROUTES = {
+    ("sigma", Form.CANONICAL): lambda: triangular_steps(1),
+    ("sigma", Form.ALT1): lambda: ((m, m - 1, ((1, m, -1),)) for m in count(1)),
+    ("sigma-star", Form.CANONICAL): lambda: (
+        (2 * (-1) ** n, 2 * n - 1, ((-1, 2 * n - 1, -1),)) for n in count(1)
+    ),
+    ("a-d", Form.CANONICAL): lambda: triangular_steps(-1),
+    ("a-d", Form.ALT1): lambda: chain(
+        [(1, 0, ((1, 1, -1),))],
+        ((1, 4 * n - 1, ((1, 2 * n, -1), (1, 2 * n + 1, -1))) for n in count(1)),
+    ),
+    ("sigma-d-moex", Form.CANONICAL): lambda: chain(
+        [(1, 0, ())], ((2, 2 * n - 1, ((1, 2 * n - 1, -1),)) for n in count(1))
+    ),
+    ("sigma-d-moex", Form.ALT1): lambda: chain(
+        [(1, 0, ())],
+        ((2 * (-1) ** (n - 1), 1, ((-1, 2 * (n - 1), 1),) if n >= 2 else ()) for n in count(1)),
+    ),
+}
+
+
+def forward_route(name, form, order):
+    """A partial-sum route built by forward_partial_sum instead of the kernel."""
+    inner = IntSeries(forward_partial_sum(order, FORWARD_ROUTES[(name, form)]()))
+    return distinct_gen(order) * inner if name in ("a-d", "sigma-d-moex") else inner
+
+
+def old_horner_sigma_d_maex(order):
+    """The Horner loop sigma-d-maex had before the kernel: acc <- acc (1 + q^k) + k T_k."""
+    acc = [0] * (order + 1)
+    for k in range(order - 1, 0, -1):
+        _mul_binomial_inplace(acc, 1, k)
+        for e in qfunctions._maex_exponents(k, order):
+            acc[e] += k
+    return tuple(acc)
+
+
+def old_runs_chern(order):
+    """The runs-above-the-gap loop chern-sigma-maex had before the kernel.
+
+    acc <- (acc + P_L) / (1 - q^L) from L = order down, P_L added term
+    by term from its untelescoped form sum_{k<L} k (1 - q^k) q^{T(L)-T(k)}.
+    """
+    acc = [0] * (order + 1)
+    for L in range(order, 0, -1):
+        for k in range(L - 1, 0, -1):
+            e = (L * (L + 1) - k * (k + 1)) // 2
+            if e > order:
+                break
+            acc[e] += k
+            if e + k <= order:
+                acc[e + k] -= k
+        _div_binomial_inplace(acc, -1, L)
+    return tuple(acc)
+
+
 def horner_chern(order):
     """The Horner form chern-sigma-maex had before runs above the gap.
 
@@ -155,21 +250,21 @@ def horner_chern(order):
         _div_binomial_inplace(acc, -1, n)
         # t_m = q^{m(n+1)} (-q;q)_{m-1}, ratio q^{n+1} (1 + q^{m-1})
         steps = ((n, n + 1, ((1, m - 1, 1),) if m > 1 else ()) for m in count(1))
-        acc = [a + b for a, b in zip(acc, qfunctions._partial_sum(order, steps))]
+        acc = [a + b for a, b in zip(acc, forward_partial_sum(order, steps))]
     return tuple(acc)
 
 
 def partial_sum_sigma_l(order):
     """sum_{m>=1} m q^m / (q;q)_m by its term recurrence: sigma-l before conjugation."""
     # t_m = q^m / (q;q)_m, ratio q / (1 - q^m)
-    return tuple(qfunctions._partial_sum(order, ((m, 1, ((-1, m, -1),)) for m in count(1))))
+    return tuple(forward_partial_sum(order, ((m, 1, ((-1, m, -1),)) for m in count(1))))
 
 
 def shifted(s, a):
     """q^a * s at the order of s."""
     c = list(s.coefficients())
     _shift_inplace(c, a)
-    return IntSeries(c)
+    return IntSeries(c[: s.order + 1])
 
 
 def closed_form_slice(kind, k, order):
@@ -188,6 +283,7 @@ def closed_form_slice(kind, k, order):
     if kind is RefinedKind.MOEX:
         c = list(poch(1, 1, 1, INFINITE, order).coefficients())
         _shift_inplace(c, k * k)
+        del c[order + 1 :]
         for j in range(k + 1):
             _div_binomial_inplace(c, 1, 2 * j + 1)
         return IntSeries(c)
@@ -333,11 +429,38 @@ class TestDistinctFamilies:
         clear_cache()
         assert sigma_L_series(order).coefficients() == partial_sum_sigma_l(order)
 
+    def test_maex_routes_match_old_loops(self):
+        clear_cache()
+        assert sigma_d_maex_series(1500).coefficients() == old_horner_sigma_d_maex(1500)
+        assert chern_sigma_maex_series(1500).coefficients() == old_runs_chern(1500)
+
     def test_maex_low_coefficients_vanish(self):
         s = sigma_d_maex_series(12)
         assert s.coefficient(0) == 0 and s.coefficient(1) == 0
         c = chern_sigma_maex_series(12)
         assert c.coefficient(0) == 0 and c.coefficient(1) == 0
+
+
+class TestNestedSum:
+    """The seven partial-sum routes against the forward loop they replaced."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=0, max_value=600))
+    @example(0)
+    @example(1)
+    @example(2)
+    @example(600)
+    def test_routes_match_forward_partial_sum(self, order):
+        clear_cache()
+        for name, form in FORWARD_ROUTES:
+            got = build_named(name, order, form).series
+            assert got == forward_route(name, form, order), (name, form.value)
+
+    def test_shifts_past_the_order_leave_zero(self):
+        # each term 1 and shift 5: no term below q^5, so the sum is zero at full length
+        step = lambda n: (((0, 1),), 5, ())
+        assert qfunctions._nested_sum(3, step, 1) == [0, 0, 0, 0]
+        assert qfunctions._nested_sum(5, step, 1) == [0, 0, 0, 0, 0, 1]
 
 
 class TestPentagonalRoute:
