@@ -9,6 +9,7 @@ import math
 import time
 
 from qmex.asymptotics import (
+    HRR_MAX_TERMS,
     AsymKind,
     asym_value,
     dedekind_sum,
@@ -43,7 +44,7 @@ from qmex.qfunctions import (
     sigma_series,
 )
 
-from fractions import Fraction
+from dedekind_oracle import direct_dedekind_sum
 
 
 def _verdict(num: int, ok: bool, summary: str) -> None:
@@ -134,7 +135,7 @@ def test_c06_parity_to_120():
     _verdict(6, report.passed, f"odd-mex parity pattern to n=120 with oracle gate to n=35 ({report.status.value})")
 
 
-def test_c07_hrr_and_reciprocity():
+def test_c07_hrr_and_dedekind_oracle():
     smex = sigma_mex_series(30)
     missed = []
     worst = 0.0
@@ -150,20 +151,19 @@ def test_c07_hrr_and_reciprocity():
             missed.append(n)
         else:
             worst = max(worst, hit.residual)
-    recip_bad = 0
-    for k in range(2, 61):
-        for h in range(1, k):
-            if math.gcd(h, k) == 1:
-                lhs = dedekind_sum(h, k) + dedekind_sum(k, h)
-                rhs = Fraction(-1, 4) + (Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k)) / 12
-                if lhs != rhs:
-                    recip_bad += 1
-    ok = not missed and recip_bad == 0
+    at_cap = hrr_sigma_mex(30, HRR_MAX_TERMS)
+    cap_ok = at_cap.rounded == smex.coefficient(30)
+    oracle_bad = sum(
+        dedekind_sum(h, k) != direct_dedekind_sum(h, k) for k in range(1, 120) for h in range(0, 2 * k + 1)
+    )
+    ok = not missed and cap_ok and oracle_bad == 0
     _verdict(
         7,
         ok,
         f"exact-phase Rademacher sum matches series for n<=30 within K<=10 "
-        f"(worst residual {worst:.3f}); Dedekind reciprocity exact for h<k<=60"
+        f"(worst residual {worst:.3f}) and at n=30 with K={HRR_MAX_TERMS} "
+        f"(residual {at_cap.residual:.4f}); Dedekind sums by reciprocity equal "
+        f"the direct sum for 0<=h<=2k, k<120 ({oracle_bad} mismatches)"
         + (f"; missed {missed}" if missed else ""),
     )
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmex import asymptotics
 from qmex.asymptotics import (
     EULER_GAMMA,
     HRR_MAX_TERMS,
@@ -20,11 +21,12 @@ from qmex.asymptotics import (
     hrr_sigma_mex,
     kloosterman_A,
     required_order,
-    sawtooth,
     tauberian_ratio,
     zagier_value,
 )
 from qmex.qfunctions import distinct_gen, sigma_d_mex_series, sigma_mex_series, sigma_series
+
+from dedekind_oracle import direct_dedekind_sum, sawtooth, scaled_sawtooth
 
 
 class TestSawtooth:
@@ -45,6 +47,11 @@ class TestSawtooth:
         assert sawtooth(x + 1) == sawtooth(x)
         assert sawtooth(-x) == -sawtooth(x)
 
+    def test_scaled_form(self):
+        for k in range(1, 30):
+            for x in range(-3 * k, 3 * k + 1):
+                assert scaled_sawtooth(x, k) == 2 * k * sawtooth(Fraction(x, k)), (x, k)
+
 
 class TestDedekind:
     def test_trivial_modulus(self):
@@ -60,16 +67,11 @@ class TestDedekind:
         with pytest.raises(ValueError):
             dedekind_sum(1, 0)
 
-    def test_reciprocity_up_to_60(self):
-        for k in range(2, 61):
-            for h in range(1, k):
-                if math.gcd(h, k) != 1:
-                    continue
-                lhs = dedekind_sum(h, k) + dedekind_sum(k, h)
-                rhs = Fraction(-1, 4) + (
-                    Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k)
-                ) / 12
-                assert lhs == rhs, (h, k)
+    def test_matches_direct_oracle_below_120(self):
+        # every residue twice over, coprime or not, h = 0 included
+        for k in range(1, 120):
+            for h in range(0, 2 * k + 1):
+                assert dedekind_sum(h, k) == direct_dedekind_sum(h, k), (h, k)
 
     @settings(max_examples=100)
     @given(st.integers(2, 80))
@@ -163,6 +165,12 @@ class TestHrr:
         r4 = hrr_sigma_mex(1, 4)
         assert r4.residual < r1.residual
         assert r4.rounded == 2
+
+    @pytest.mark.parametrize("n, terms", [(1, 20), (37, 20), (150, 20), (200, 20), (200, 35)])
+    def test_bitwise_equal_with_direct_oracle(self, monkeypatch, n, terms):
+        fast = hrr_sigma_mex(n, terms)
+        monkeypatch.setattr(asymptotics, "dedekind_sum", direct_dedekind_sum)
+        assert hrr_sigma_mex(n, terms) == fast
 
     def test_validation(self):
         with pytest.raises(ValueError):
