@@ -1,8 +1,9 @@
 """The Dedekind sum straight from its definition, as a test oracle.
 
-qmex.asymptotics.dedekind_sum walks Euclid's algorithm by reciprocity;
-the functions here sum the sawtooth products term by term instead, so
-the two routes share no identity beyond the definition.
+qmex.asymptotics.dedekind_sum walks Euclid's algorithm by reciprocity
+on the integer T(h, k) = 12k s(h, k); the functions here sum the
+sawtooth products term by term in exact fractions instead, so the two
+routes share no identity beyond the definition.
 """
 
 import math
@@ -33,3 +34,26 @@ def direct_dedekind_sum(h: int, k: int) -> Fraction:
         raise ValueError("modulus k must be a positive integer")
     total = sum(scaled_sawtooth(r, k) * scaled_sawtooth(h * r, k) for r in range(1, k))
     return Fraction(total, 4 * k * k)
+
+
+def scaled_direct_dedekind_sum(h: int, k: int) -> Fraction:
+    """12k s(h, k) from the direct sum, left a Fraction so integrality is checked, not assumed."""
+    return 12 * k * direct_dedekind_sum(h, k)
+
+
+def fraction_kloosterman_A(k: int, n: int) -> tuple[float, float]:
+    """qmex.asymptotics.kloosterman_A with the exact-fraction phase on the direct sum.
+
+    The phase s(h,k) - s(2h,k) - hn/k is a Fraction, reduced to [0, 1)
+    by subtracting its floor and only then turned into a float.
+    """
+    re = 0.0
+    im = 0.0
+    for h in range(k):
+        if math.gcd(h, k) != 1:
+            continue
+        phase = direct_dedekind_sum(h, k) - direct_dedekind_sum(2 * h % k, k) - Fraction(h * n, k)
+        angle = 2.0 * math.pi * float(phase - math.floor(phase))
+        re += math.cos(angle)
+        im += math.sin(angle)
+    return re, abs(im)

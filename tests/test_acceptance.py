@@ -44,7 +44,7 @@ from qmex.qfunctions import (
     sigma_series,
 )
 
-from dedekind_oracle import direct_dedekind_sum
+from dedekind_oracle import scaled_direct_dedekind_sum
 
 
 def _verdict(num: int, ok: bool, summary: str) -> None:
@@ -154,7 +154,7 @@ def test_c07_hrr_and_dedekind_oracle():
     at_cap = hrr_sigma_mex(30, HRR_MAX_TERMS)
     cap_ok = at_cap.rounded == smex.coefficient(30)
     oracle_bad = sum(
-        dedekind_sum(h, k) != direct_dedekind_sum(h, k) for k in range(1, 120) for h in range(0, 2 * k + 1)
+        dedekind_sum(h, k) != scaled_direct_dedekind_sum(h, k) for k in range(1, 120) for h in range(0, 2 * k + 1)
     )
     ok = not missed and cap_ok and oracle_bad == 0
     _verdict(
@@ -162,8 +162,8 @@ def test_c07_hrr_and_dedekind_oracle():
         ok,
         f"exact-phase Rademacher sum matches series for n<=30 within K<=10 "
         f"(worst residual {worst:.3f}) and at n=30 with K={HRR_MAX_TERMS} "
-        f"(residual {at_cap.residual:.4f}); Dedekind sums by reciprocity equal "
-        f"the direct sum for 0<=h<=2k, k<120 ({oracle_bad} mismatches)"
+        f"(residual {at_cap.residual:.4f}); integer Dedekind sums by reciprocity "
+        f"equal 12k times the direct sum for 0<=h<=2k, k<120 ({oracle_bad} mismatches)"
         + (f"; missed {missed}" if missed else ""),
     )
 

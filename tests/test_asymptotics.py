@@ -1,6 +1,7 @@
 """Tests for exact number-theoretic sums and floating-point asymptotics."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,12 @@ from qmex.asymptotics import (
 )
 from qmex.qfunctions import distinct_gen, sigma_d_mex_series, sigma_mex_series, sigma_series
 
-from dedekind_oracle import direct_dedekind_sum, sawtooth, scaled_sawtooth
+from dedekind_oracle import (
+    fraction_kloosterman_A,
+    sawtooth,
+    scaled_direct_dedekind_sum,
+    scaled_sawtooth,
+)
 
 
 class TestSawtooth:
@@ -59,8 +65,9 @@ class TestDedekind:
         assert dedekind_sum(0, 5) == 0
 
     def test_spot_values(self):
-        assert dedekind_sum(1, 3) == Fraction(1, 18)
-        assert dedekind_sum(2, 3) == Fraction(-1, 18)
+        # 12k s(h, k): s(1, 3) = 1/18 and s(2, 3) = -1/18
+        assert dedekind_sum(1, 3) == 2
+        assert dedekind_sum(2, 3) == -2
         assert dedekind_sum(1, 2) == 0
 
     def test_invalid_modulus(self):
@@ -71,7 +78,10 @@ class TestDedekind:
         # every residue twice over, coprime or not, h = 0 included
         for k in range(1, 120):
             for h in range(0, 2 * k + 1):
-                assert dedekind_sum(h, k) == direct_dedekind_sum(h, k), (h, k)
+                want = scaled_direct_dedekind_sum(h, k)
+                assert want.denominator == 1, (h, k)
+                got = dedekind_sum(h, k)
+                assert type(got) is int and got == want, (h, k)
 
     @settings(max_examples=100)
     @given(st.integers(2, 80))
@@ -79,6 +89,27 @@ class TestDedekind:
         for h in range(1, k):
             if math.gcd(h, k) == 1:
                 assert dedekind_sum(k - h, k) == -dedekind_sum(h, k)
+
+    def test_deep_euclid_chains(self):
+        # consecutive Fibonacci numbers take the longest Euclid walk for
+        # their size: F_3000, F_3001 have 627 digits and ~3000 steps, more
+        # than the default recursion limit. Inversion and antisymmetry
+        # are checked, neither of which is the reciprocity the code uses.
+        a, b = 0, 1
+        for _ in range(3000):
+            a, b = b, a + b
+        pairs = [(a, b)]
+        rng = random.Random(16)
+        while len(pairs) < 51:
+            k = rng.getrandbits(600) | 1 << 599
+            h = rng.randrange(1, k)
+            if math.gcd(h, k) == 1:
+                pairs.append((h, k))
+        for h, k in pairs:
+            t = dedekind_sum(h, k)
+            assert type(t) is int
+            assert dedekind_sum(pow(h, -1, k), k) == t, (h, k)
+            assert dedekind_sum(k - h, k) == -t, (h, k)
 
 
 class TestKloosterman:
@@ -110,6 +141,13 @@ class TestKloosterman:
     def test_invalid_modulus(self):
         with pytest.raises(ValueError):
             kloosterman_A(0, 3)
+
+    def test_equals_fraction_phase_oracle(self):
+        # integer phases mod 12k against exact Fraction phases mod 1 on
+        # the direct sum: every float must come out bit for bit the same
+        for k in range(1, 80):
+            for n in (0, 1, 7, 30, 200, 1000):
+                assert kloosterman_A(k, n) == fraction_kloosterman_A(k, n), (k, n)
 
 
 class TestBessel:
@@ -169,8 +207,21 @@ class TestHrr:
     @pytest.mark.parametrize("n, terms", [(1, 20), (37, 20), (150, 20), (200, 20), (200, 35)])
     def test_bitwise_equal_with_direct_oracle(self, monkeypatch, n, terms):
         fast = hrr_sigma_mex(n, terms)
-        monkeypatch.setattr(asymptotics, "dedekind_sum", direct_dedekind_sum)
+        monkeypatch.setattr(asymptotics, "dedekind_sum", scaled_direct_dedekind_sum)
         assert hrr_sigma_mex(n, terms) == fast
+
+    @pytest.mark.parametrize(
+        "want",
+        [
+            HrrResult(30, 100, 15588.996405752241, 15589, 0.0035942477588832844),
+            HrrResult(200, 35, 17009243655185.096, 17009243655185, 0.095703125),
+            HrrResult(1, 20, 2.010371170761984, 2, 0.010371170761983795),
+            HrrResult(150, 20, 163470114858.02487, 163470114858, 0.024871826171875),
+        ],
+    )
+    def test_pinned_values(self, want):
+        # the exact-Fraction phase route gave these; they fix the hrr stdout
+        assert hrr_sigma_mex(want.n, want.terms) == want
 
     def test_validation(self):
         with pytest.raises(ValueError):
