@@ -4,16 +4,25 @@ Everything in this module works by exhaustive enumeration. It is the
 slow, obviously-correct half of the package: the generating-function
 builders are checked coefficient by coefficient against these counts.
 
-The unrestricted stream is Zoghbi and Stojmenović's ZS1 loop ("Fast
-algorithms for generating integer partitions", Int. J. Comput. Math.
-70, 1998), O(1) amortised steps per partition; the distinct-parts
-stream is a recursive generator at most about sqrt(2n) frames deep.
+enum_partitions is the public stream. Unrestricted partitions come
+from Zoghbi and Stojmenović's ZS1 loop ("Fast algorithms for
+generating integer partitions", Int. J. Comput. Math. 70, 1998), O(1)
+amortised steps per partition; distinct parts come from a recursive
+generator at most about sqrt(2n) frames deep.
+
 The oracles read one memoised census per (n, distinct_only), which
-walks that stream once and records every statistic in the same pass.
-A census refuses with ValueError, before enumerating anything, when
-the stream holds more than CENSUS_BUDGET partitions: p(n) for
-unrestricted partitions (n <= 45) and q(n) for distinct parts
-(n <= 82), both taken exactly from Euler's pentagonal recurrence.
+does not go through that stream. It walks the partitions of n depth
+first by (part k, multiplicity j), parts in decreasing order, one leaf
+per partition, and tallies them by their set of parts as an int
+bitmask. mex, moex, maex, the largest and the smallest part depend
+only on that set, so each is read once per set with bit operations:
+at n = 45, 89134 partitions share 13334 sets. The tests check the
+census field by field against one built from enum_partitions and the
+per-partition statistics below. A census refuses with ValueError,
+before walking anything, when n has more than CENSUS_BUDGET
+partitions: p(n) for unrestricted partitions (n <= 45) and q(n) for
+distinct parts (n <= 82), both taken exactly from Euler's pentagonal
+recurrence.
 
 Conventions for the empty partition: mex = 1, smallest odd excludant
 = 1, largest is 0, and the maximal excludant is 0 (there is no
@@ -26,15 +35,15 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-# Most partitions one census may enumerate: under a second for the
-# largest allowed census on a 2-core x86 VM with CPython 3.11. Every
-# registry default range fits: p(35) = 14883 and q(40) = 1113.
+# Most partitions one census may walk: the largest allowed census takes
+# about 0.09 s (n = 45) and 0.31 s (n = 82, distinct parts) on a 2-core
+# x86 VM with CPython 3.11. Every registry default range fits:
+# p(35) = 14883 and q(40) = 1113.
 CENSUS_BUDGET = 100_000
 
 
@@ -209,7 +218,7 @@ def maex(p: Partition) -> int:
 
 
 class _Census(NamedTuple):
-    """Every statistic of one (n, distinct_only) stream, from one pass."""
+    """Every statistic of the partitions of n (distinct parts if distinct_only)."""
 
     count: int
     sums: Mapping[StatKind, int]
@@ -248,9 +257,44 @@ def _stream_sizes(distinct_only: bool) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+def _walk(rest: int, top: int, mask: int, distinct_only: bool, tally: dict[int, int]) -> None:
+    """Add to tally[mask | new parts] each way to fill rest with parts <= top.
+
+    mask holds the parts taken so far, all above top. Each part k from
+    the top down is taken j = 1, 2, ... times (once for distinct parts)
+    before the walk goes on to parts below k, so every partition is one
+    leaf. Part 1 closes a branch at once: it takes the whole rest, which
+    for distinct parts must be 1.
+    """
+    for k in range(min(rest, top), 1, -1):
+        if distinct_only and k * (k + 1) // 2 < rest:
+            break  # parts k, k-1, ..., 1 cannot fill rest
+        with_k = mask | 1 << k
+        left = rest - k
+        while left > 0:
+            _walk(left, k - 1, with_k, distinct_only, tally)
+            if distinct_only:
+                break
+            left -= k
+        if left == 0:
+            tally[with_k] = tally.get(with_k, 0) + 1
+    # rest is 0 only for the empty partition of n = 0
+    if rest <= 1 or not distinct_only:
+        leaf = mask | 2 if rest else mask
+        tally[leaf] = tally.get(leaf, 0) + 1
+
+
+def _lowest_clear(x: int) -> int:
+    return (~x & (x + 1)).bit_length() - 1
+
+
 @cache
 def _census(n: int, distinct_only: bool) -> _Census:
-    """One pass over enum_partitions(n, distinct_only), memoised per process."""
+    """Every statistic of the partitions of n, memoised per process.
+
+    The walk tallies the partitions by set of parts, bit k for part k,
+    and each statistic is read once per set.
+    """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     limit = len(_stream_sizes(distinct_only)) - 2
@@ -260,18 +304,24 @@ def _census(n: int, distinct_only: bool) -> _Census:
             f"the {kind} of {n} exceed the enumeration budget of {CENSUS_BUDGET}"
             f" partitions; the largest n within it is {limit}"
         )
+    tally: dict[int, int] = {}
+    _walk(n, n, 0, distinct_only, tally)
+    evens = sum(1 << i for i in range(0, n + 4, 2))  # moex <= n + 2 is odd
     count = mex_sum = moex_sum = maex_sum = largest_sum = 0
-    mex_counts: Counter = Counter()
-    smallest_counts: Counter = Counter()
-    for p in enum_partitions(n, distinct_only):
-        m = mex(p)
-        count += 1
-        mex_sum += m
-        moex_sum += moex(p)
-        maex_sum += maex(p)
-        largest_sum += p.largest
-        mex_counts[m] += 1
-        smallest_counts[p.parts[-1] if p.parts else math.inf] += 1
+    mex_counts: dict[int, int] = {}
+    smallest_counts: dict[float, int] = {}
+    for mask, c in tally.items():
+        m = _lowest_clear(mask | 1)
+        largest = max(mask.bit_length() - 1, 0)
+        smallest = (mask & -mask).bit_length() - 1 if mask else math.inf
+        count += c
+        mex_sum += c * m
+        moex_sum += c * _lowest_clear(mask | evens)
+        # bit 0 of ~mask stands for the excludant 0, the floor of maex
+        maex_sum += c * (((~mask & ((1 << largest) - 1)) | 1).bit_length() - 1)
+        largest_sum += c * largest
+        mex_counts[m] = mex_counts.get(m, 0) + c
+        smallest_counts[smallest] = smallest_counts.get(smallest, 0) + c
     sums = {
         StatKind.MEX: mex_sum,
         StatKind.MOEX: moex_sum,
@@ -281,8 +331,8 @@ def _census(n: int, distinct_only: bool) -> _Census:
     return _Census(
         count,
         MappingProxyType(sums),
-        MappingProxyType(dict(mex_counts)),
-        MappingProxyType(dict(smallest_counts)),
+        MappingProxyType(mex_counts),
+        MappingProxyType(smallest_counts),
     )
 
 

@@ -1,6 +1,11 @@
 """Tests for partition enumeration and the excludant statistics."""
 
+import math
+from types import MappingProxyType
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmex import partitions
 from qmex.cli import run
@@ -10,6 +15,7 @@ from qmex.partitions import (
     CountKind,
     Partition,
     StatKind,
+    _Census,
     _census,
     _stream_sizes,
     enum_partitions,
@@ -67,6 +73,45 @@ def reference_refined_count(kind, index, n, distinct_only):
         CountKind.ODD_MEX: lambda p: mex(p) % 2 == 1,
     }[kind]
     return sum(1 for p in recursive_partitions(n, distinct_only) if predicate(p))
+
+
+def reference_census(n, distinct_only):
+    """The census as one pass over enum_partitions, four statistics per partition."""
+    count = mex_sum = moex_sum = maex_sum = largest_sum = 0
+    mex_counts = {}
+    smallest_counts = {}
+    for p in enum_partitions(n, distinct_only):
+        m = mex(p)
+        count += 1
+        mex_sum += m
+        moex_sum += moex(p)
+        maex_sum += maex(p)
+        largest_sum += p.largest
+        mex_counts[m] = mex_counts.get(m, 0) + 1
+        smallest = p.parts[-1] if p.parts else math.inf
+        smallest_counts[smallest] = smallest_counts.get(smallest, 0) + 1
+    sums = {
+        StatKind.MEX: mex_sum,
+        StatKind.MOEX: moex_sum,
+        StatKind.MAEX: maex_sum,
+        StatKind.LARGEST: largest_sum,
+    }
+    return _Census(
+        count,
+        MappingProxyType(sums),
+        MappingProxyType(mex_counts),
+        MappingProxyType(smallest_counts),
+    )
+
+
+def assert_census_equals_reference(n, distinct_only):
+    got, want = _census(n, distinct_only), reference_census(n, distinct_only)
+    for field, g, w in zip(_Census._fields, got, want):
+        assert g == w, (n, distinct_only, field)
+
+
+def largest_n_within_budget(distinct_only):
+    return len(_stream_sizes(distinct_only)) - 2
 
 
 def reference_two_colored(n):
@@ -245,6 +290,24 @@ class TestOracles:
 
 class TestCensus:
     @pytest.mark.parametrize("distinct_only", [False, True])
+    def test_walk_equals_reference_census(self, distinct_only):
+        for n in range(31):
+            assert_census_equals_reference(n, distinct_only)
+
+    @pytest.mark.parametrize("distinct_only", [False, True])
+    def test_walk_equals_reference_census_at_budget_top(self, distinct_only):
+        top = largest_n_within_budget(distinct_only)
+        assert top == (82 if distinct_only else 45)
+        assert_census_equals_reference(top, distinct_only)
+
+    @pytest.mark.parametrize("distinct_only", [False, True])
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_walk_equals_reference_census_property(self, distinct_only, data):
+        n = data.draw(st.integers(0, largest_n_within_budget(distinct_only)), label="n")
+        assert_census_equals_reference(n, distinct_only)
+
+    @pytest.mark.parametrize("distinct_only", [False, True])
     def test_stat_sums_equal_reference(self, distinct_only):
         for n in range(25):
             for kind in StatKind:
@@ -288,6 +351,7 @@ class TestOverBudgetRefused:
 
         _census.cache_clear()
         monkeypatch.setattr(partitions, "enum_partitions", refuse)
+        monkeypatch.setattr(partitions, "_walk", refuse)
 
     @pytest.mark.parametrize(
         "argv",
