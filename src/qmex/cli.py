@@ -222,10 +222,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except NumericalIntegrityError as exc:
         print(f"numerical integrity failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, KeyError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,6 @@ from .qfunctions import (
     Form,
     RefinedKind,
     _CATALOGUE,
-    _FAMILIES,
     _check_order,
     _slices,
     a_d_series,
@@ -152,7 +151,7 @@ def _route(name: str, form: Form) -> SeriesBuilder:
 
 
 def _shifted_smallest_gt(i: int) -> Oracle:
-    t = _FAMILIES[None][1](i)  # the staircase 1 + 2 + ... + i, where dcount slice i starts
+    t = i * (i + 1) // 2  # the staircase 1 + 2 + ... + i, where dcount slice i starts
 
     def oracle(n: int) -> int:
         if n < t:
@@ -455,7 +454,7 @@ def parity_check(nmax: int) -> VerificationReport:
     if nmax < 1:
         raise ValueError("parity scan needs nmax >= 1")
     gate = min(nmax, 35)
-    a = a_series(max(nmax, gate))
+    a = a_series(nmax)
     for n in range(gate + 1):
         got, want = a.coefficient(n), _odd_mex_count_all(n)
         if got != want:
@@ -490,9 +489,7 @@ def positivity_check(nmax: int) -> VerificationReport:
         return VerificationReport(
             "positivity", nmax, Status.FAIL, Mismatch(1, s.coefficient(1), 0, "zero-at-one")
         )
-    for n in range(nmax + 1):
-        if n == 1:
-            continue
+    for n in (0, *range(2, nmax + 1)):
         v = s.coefficient(n)
         if v <= 0:
             return VerificationReport(

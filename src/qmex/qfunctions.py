@@ -9,12 +9,12 @@ rather than silently agreeing with itself.
 
 Every nested q-series sum, sum_n t_n A_n with the ratio t_n / t_{n-1}
 a monomial times one or two binomial factors and A_n sparse, runs
-through one kernel, _nested_sum, which evaluates it by Horner's rule
-from the innermost term out. That covers the seven q-hypergeometric
-partial sums (A_n a constant weight) and the two maex double sums (A_n
-the sparse inner sum over parts above the gap). Each step is O(N) list
-work on a window that holds only the coefficients the outer terms can
-still reach, with no dense product and nothing kept per step.
+through one kernel, _nested_sum, by Horner's rule from the innermost
+term out: O(N) list work a step on a window of the coefficients the
+outer terms can still reach. A_n is the sparse inner sum over parts
+above the gap in the two maex double sums, a constant weight in the
+q-hypergeometric sums; four of those are one residue-class mex sum,
+_mex_sum: sigma, the inner sums of a-d and sigma-d-moex, and a.
 
 The slices of the refined families come from one running quotient per
 family (_slices): the tail (-q^{m+1};q)_inf of a mex slice is the
@@ -195,6 +195,21 @@ def _nested_sum(order: int, step: Callable[[int], _Step], first: int) -> list[in
     return acc
 
 
+def _mex_sum(order: int, A: int, a: int, s: int, distinct: bool) -> list[int]:
+    """Coefficients 0..order of a + A sum_{k>=1} s^k q^{ka + Ak(k-1)/2} / (-q^a;q^A)_k.
+
+    The denominator is kept on the distinct base only. With s = +1, the
+    sum times (-q;q)_inf (distinct) or 1/(q;q)_inf (not) sums mex_{A,a},
+    the least absent part = a mod A (Andrews and Newman, 2020), over that
+    base: term k counts the partitions holding a, a + A, ..., a + A(k-1).
+    """
+    # term k is term k-1 times s q^e / (1 + q^e), e = a + A(k-1); no divisor off the distinct base
+    step = lambda k, e: (((0, A * s**k),), e, ((1, e, -1),) if distinct else ())
+    acc = _nested_sum(order, lambda k: step(k, a + A * (k - 1)), 1)
+    acc[0] += a
+    return acc
+
+
 # ----------------------------------------------------------------------
 # Ramanujan's sigma and sigma-star
 
@@ -209,9 +224,7 @@ def sigma_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     registered identities.
     """
     if form is Form.CANONICAL:
-        # t_n = q^{n(n+1)/2} / (-q;q)_n, ratio q^n / (1 + q^n)
-        step = lambda n: (((0, 1),), n, ((1, n, -1),) if n else ())
-        return IntSeries._trusted(_nested_sum(order, step, 0))
+        return IntSeries._trusted(_mex_sum(order, 1, 1, 1, True))
     # t_m = q^{m(m-1)/2} / (-q;q)_m, ratio q^{m-1} / (1 + q^m)
     return IntSeries._trusted(_nested_sum(order, lambda m: (((0, m),), m - 1, ((1, m, -1),)), 1))
 
@@ -291,9 +304,7 @@ def a_d_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     ALT1:      (-q;q)_inf * sum_{n>=0} q^{n(2n+1)} / (-q;q)_{2n+1}.
     """
     if form is Form.CANONICAL:
-        # t_n = q^{n(n+1)/2} / (-q;q)_n, ratio q^n / (1 + q^n)
-        step = lambda n: (((0, (-1) ** n),), n, ((1, n, -1),) if n else ())
-        inner = _nested_sum(order, step, 0)
+        inner = _mex_sum(order, 1, 1, -1, True)
     else:
         # t_0 = 1/(1+q), then ratio q^{4n-1} / ((1+q^{2n})(1+q^{2n+1}))
         def step(n: int) -> _Step:
@@ -309,24 +320,26 @@ def a_d_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
 def sigma_d_moex_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     """Sum of the smallest odd excludant over distinct-part partitions.
 
-    Three routes to the same coefficients:
-
     CANONICAL  (-q;q)_inf * (1 + 2 sum_{n>=1} q^{n^2} / (-q;q^2)_n)
     ALT1       (-q;q)_inf * (1 + 2 sum_{n>=1} (-1)^{n-1} q^n (q^2;q^2)_{n-1})
     ALT2       (-q;q)_inf * (1 + sigma_star(-q))
+
+    ALT2 is CANONICAL under q -> -q, since (-1)^{n+n^2} = 1, so
+    canonical-vs-alt2 checks that substitution and both binomial
+    kernels; ALT1 is the independent route.
     """
     if form is Form.CANONICAL:
-        # ratio q^{2n-1} / (1 + q^{2n-1})
-        inner = _nested_sum(order, lambda n: (((0, 2),), 2 * n - 1, ((1, 2 * n - 1, -1),)), 1)
-    elif form is Form.ALT1:
-        # t_n = q^n (q^2;q^2)_{n-1}: shift by 1, then a new factor
-        # (1 - q^{2(n-1)}) appears for n >= 2
-        step = lambda n: (((0, -2 * (-1) ** n),), 1, ((-1, 2 * n - 2, 1),) if n > 1 else ())
-        inner = _nested_sum(order, step, 1)
+        inner = _mex_sum(order, 2, 1, 1, True)
     else:
-        star = sigma_star_series(order).coefficients()
-        inner = [(-c if j % 2 else c) for j, c in enumerate(star)]  # q -> -q
-    inner[0] += 1
+        if form is Form.ALT1:
+            # t_n = q^n (q^2;q^2)_{n-1}: shift by 1, then a new factor
+            # (1 - q^{2(n-1)}) appears for n >= 2
+            step = lambda n: (((0, -2 * (-1) ** n),), 1, ((-1, 2 * n - 2, 1),) if n > 1 else ())
+            inner = _nested_sum(order, step, 1)
+        else:
+            star = sigma_star_series(order).coefficients()
+            inner = [(-c if j % 2 else c) for j, c in enumerate(star)]  # q -> -q
+        inner[0] += 1
     return distinct_gen(order) * IntSeries._trusted(inner)
 
 
@@ -497,19 +510,11 @@ def dcount_series(i: int, order: int) -> IntSeries:
 def a_series(order: int) -> IntSeries:
     """Count of all partitions of n with odd mex.
 
-    A partition with mex = m contains 1..m-1 and omits m, so the slice
-    generating function is q^{m(m-1)/2} (1-q^m) / (q;q)_inf. Summing
-    over odd m telescopes the sparse factor into an alternating theta
-    over triangular numbers, times the stored partition_gen.
+    partition_gen times _mex_sum at (1, 1, -1) off the distinct base, the
+    theta sum_{k>=0} (-1)^k q^{k(k+1)/2}: a partition with mex m holds
+    1..k just when k < m, and sum_{k<m} (-1)^k is 1 for odd m, else 0.
     """
-    sparse = [0] * (order + 1)
-    m = 1
-    while m * (m - 1) // 2 <= order:
-        sparse[m * (m - 1) // 2] += 1
-        if m * (m + 1) // 2 <= order:
-            sparse[m * (m + 1) // 2] -= 1
-        m += 2
-    return partition_gen(order) * IntSeries._trusted(sparse)
+    return partition_gen(order) * IntSeries._trusted(_mex_sum(order, 1, 1, -1, False))
 
 
 @_builder("sigma-l")

@@ -2,12 +2,15 @@
 
 import pytest
 
+from qmex import identities
 from qmex.identities import (
     Comparison,
     IdentityDescriptor,
+    Mismatch,
     OraclePair,
     SeriesPair,
     Status,
+    VerificationReport,
     monotonicity_check,
     parity_check,
     positivity_check,
@@ -214,3 +217,69 @@ class TestScans:
         assert report.passed, report
         with pytest.raises(ValueError):
             positivity_check(1)
+
+
+
+def _plant(monkeypatch, name, n, change):
+    """Point identities.name at its qfunctions builder with coefficient n replaced by change(old).
+
+    The builder's store is left as it was.
+    """
+    builder = getattr(qfunctions, name)
+
+    def build(order):
+        c = list(builder(order).coefficients())
+        c[n] = change(c[n])
+        return IntSeries(c)
+
+    monkeypatch.setattr(identities, name, build)
+
+
+class TestScanVerdicts:
+    """Each FAIL branch of the scans, reached by planting one wrong coefficient."""
+
+    def test_strict_increase(self, monkeypatch):
+        c11 = sigma_d_mex_series(20).coefficient(11)
+        _plant(monkeypatch, "sigma_d_mex_series", 12, lambda v: c11)
+        assert monotonicity_check(20) == VerificationReport(
+            "monotonicity",
+            20,
+            Status.FAIL,
+            Mismatch(11, c11, c11, "strict-increase"),
+            "boundary equality at 6 -> 7 (both 8)",
+        )
+
+    def test_oracle_gate(self, monkeypatch):
+        # the gate compares the a route with enumeration up to n = 35
+        want = qfunctions.a_series(40).coefficient(10)
+        _plant(monkeypatch, "a_series", 10, lambda v: v + 1)
+        assert parity_check(40) == VerificationReport(
+            "parity", 40, Status.FAIL, Mismatch(10, want + 1, want, "oracle-gate")
+        )
+
+    def test_odd_iff_pentagonal_pair(self, monkeypatch):
+        # n = 50 is past the gate and not twice a pentagonal number, so a(50) is even
+        _plant(monkeypatch, "a_series", 50, lambda v: v + 1)
+        assert parity_check(60) == VerificationReport(
+            "parity", 60, Status.FAIL, Mismatch(50, 1, 0, "odd-iff-pentagonal-pair")
+        )
+
+    def test_mex_sum_parity(self, monkeypatch):
+        odd = qfunctions.a_series(20).coefficient(5) % 2
+        _plant(monkeypatch, "sigma_mex_series", 5, lambda v: v + 1)
+        assert parity_check(20) == VerificationReport(
+            "parity", 20, Status.FAIL, Mismatch(5, 1 - odd, odd, "mex-sum-parity")
+        )
+
+    def test_zero_at_one(self, monkeypatch):
+        _plant(monkeypatch, "a_d_series", 1, lambda v: 3)
+        assert positivity_check(20) == VerificationReport(
+            "positivity", 20, Status.FAIL, Mismatch(1, 3, 0, "zero-at-one")
+        )
+
+    @pytest.mark.parametrize("n", [0, 2, 17])
+    def test_strictly_positive(self, monkeypatch, n):
+        _plant(monkeypatch, "a_d_series", n, lambda v: 0)
+        assert positivity_check(20) == VerificationReport(
+            "positivity", 20, Status.FAIL, Mismatch(n, 0, 1, "strictly-positive")
+        )

@@ -209,6 +209,32 @@ def forward_route(name, form, order):
     return distinct_gen(order) * inner if name in ("a-d", "sigma-d-moex") else inner
 
 
+def theta_a_series(order):
+    """partition_gen times the theta loop a_series ran before _mex_sum.
+
+    A partition with mex m holds 1..m-1 and omits m, so summing
+    q^{m(m-1)/2} (1 - q^m) over odd m telescopes into +1 at each
+    m(m-1)/2 and -1 at each m(m+1)/2.
+    """
+    sparse = [0] * (order + 1)
+    m = 1
+    while m * (m - 1) // 2 <= order:
+        sparse[m * (m - 1) // 2] += 1
+        if m * (m + 1) // 2 <= order:
+            sparse[m * (m + 1) // 2] -= 1
+        m += 2
+    return partition_gen(order) * IntSeries(sparse)
+
+
+def residue_mex(parts, A, a):
+    """mex_{A,a}: the least positive integer = a (mod A) that is not a part, 1 <= a <= A."""
+    have = set(parts)
+    m = a
+    while m in have:
+        m += A
+    return m
+
+
 def old_horner_sigma_d_maex(order):
     """The Horner loop sigma-d-maex had before the kernel: acc <- acc (1 + q^k) + k T_k."""
     acc = [0] * (order + 1)
@@ -461,6 +487,44 @@ class TestNestedSum:
         step = lambda n: (((0, 1),), 5, ())
         assert qfunctions._nested_sum(3, step, 1) == [0, 0, 0, 0]
         assert qfunctions._nested_sum(5, step, 1) == [0, 0, 0, 0, 0, 1]
+
+
+# (A, a) pairs of the residue-class mex checked against enumeration
+RESIDUE_CLASSES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 3), (5, 2)]
+
+
+class TestResidueMexSum:
+    """_mex_sum against the theta loop a_series replaced and against enumeration.
+
+    FORWARD_ROUTES already covers its three distinct-base callers.
+    """
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=600))
+    @example(0)
+    @example(1)
+    @example(600)
+    def test_a_matches_the_theta_loop(self, order):
+        clear_cache()
+        assert a_series(order) == theta_a_series(order)
+
+    def test_a_matches_the_theta_loop_at_8000(self):
+        clear_cache()
+        assert a_series(8000) == theta_a_series(8000)
+        clear_cache()
+
+    @pytest.mark.parametrize("s", [1, -1])
+    @pytest.mark.parametrize("distinct,top", [(True, 40), (False, 30)])
+    def test_sums_the_residue_class_mex(self, distinct, top, s):
+        # mex_{A,a} = a + A j with a, ..., a + A(j-1) all parts; the sum weighs a
+        # partition a + A sum_{k=1..j} s^k: mex_{A,a} for s = +1, a - A (j mod 2) for s = -1
+        base = distinct_gen(top) if distinct else partition_gen(top)
+        parts = [[p.parts for p in enum_partitions(n, distinct)] for n in range(top + 1)]
+        for A, a in RESIDUE_CLASSES:
+            got = base * IntSeries(qfunctions._mex_sum(top, A, a, s, distinct))
+            weight = lambda m: m if s == 1 else a - A * ((m - a) // A % 2)
+            want = tuple(sum(weight(residue_mex(p, A, a)) for p in ps) for ps in parts)
+            assert got.coefficients() == want, (A, a)
 
 
 class TestPentagonalRoute:
