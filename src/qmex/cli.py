@@ -9,6 +9,7 @@ only in exported files, never in stdout payloads.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -58,9 +59,8 @@ def _record(named: NamedSeries, meta: Optional[dict] = None) -> dict:
 def _emit_series(named: NamedSeries, fmt: str, out=None, meta: Optional[dict] = None) -> None:
     out = out or sys.stdout
     if fmt == "csv":
-        print("n,value", file=out)
-        for n, c in enumerate(named.series.coefficients()):
-            print(f"{n},{c}", file=out)
+        lines = [f"{n},{c}\n" for n, c in enumerate(named.series.coefficients())]
+        out.write("n,value\n" + "".join(lines))
     else:
         print(json.dumps(_record(named, meta), indent=2), file=out)
 
@@ -149,6 +149,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache  # one parser per process: run() is called once per request
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmex",

@@ -10,10 +10,14 @@ operand order instead of padding with zeros, so a truncation artifact
 can never masquerade as a genuine coefficient.
 
 Products have one kernel per shape behind IntSeries.__mul__. When one
-operand is sparse (a theta-like sum, a pentagonal product), a loop over
-its support costs O(nnz * N). Otherwise Kronecker substitution packs
-each operand into one integer, multiplies the two integers once, and
-reads the coefficients back from the bytes of the product.
+operand is sparse (a theta-like sum, a pentagonal product), one slice
+update per nonzero entry costs O(nnz * N). Otherwise Kronecker
+substitution packs each operand into one integer, multiplies the two
+integers once, and reads the coefficients back from the digits of the
+product. Small operands are packed in bytes and multiplied by CPython's
+Karatsuba; from about 30,000 packed decimal digits they are packed in
+decimal digits and multiplied by the number-theoretic transform of the
+stdlib decimal module (libmpdec), with every rounding trapped.
 
 Unbounded q-Pochhammer style products are handled by :func:`poch`,
 which simply omits factors whose lowest exponent exceeds the truncation
@@ -24,6 +28,8 @@ coefficient, so the truncated product is still exact.
 from __future__ import annotations
 
 import math
+import sys
+from operator import add, sub
 from typing import Iterable, Sequence
 
 # Sentinel accepted by poch() for an unbounded product.
@@ -121,10 +127,12 @@ class IntSeries:
         """Cauchy product truncated to the smaller operand order N.
 
         Two kernels give the same coefficients, chosen by one fixed rule
-        on the sparser operand. With at most _sparse_cutoff(N) = 12 + N // 25
-        nonzero entries (the measured crossover), a loop over its support
-        costs O(nnz * N) coefficient products. Otherwise the product is one
-        big-integer multiplication by Kronecker substitution; see
+        on the sparser operand. With at most _sparse_cutoff(N) = 24 + N // 20
+        nonzero entries (the measured crossover), one slice update per
+        entry costs O(nnz * N) coefficient operations. Otherwise the
+        product is one big-integer multiplication by Kronecker
+        substitution, in bytes below _DECIMAL_MIN_DIGITS packed decimal
+        digits and in decimal digits by libmpdec from there; see
         _kronecker_mul.
         """
         if not isinstance(other, IntSeries):
@@ -255,21 +263,38 @@ def _sparse_cutoff(n: int) -> int:
     """Most nonzero entries of the sparser operand for which _sparse_mul runs.
 
     The crossover measured against _kronecker_mul, a random +-1 operand
-    times (-q;q)_inf, lies near 12 nonzero entries at order 100, 32 at
-    1000, 80 at 2000, 200 at 4000 and 400 at 8000.
+    times (-q;q)_inf, lies near 30 nonzero entries at order 100, 55 at
+    500, 85 at 1000, 150 at 2000, 235 at 4000 and 290-320 at 6000-8000
+    (2-core x86-64 VM, Python 3.11). It bends below linear because the
+    decimal branch of _kronecker_mul grows as n log n above its size rule.
     """
-    return 12 + n // 25
+    return 24 + n // 20
 
 
 def _sparse_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """Schoolbook product over the support of a: O(nnz(a) * n)."""
+    """Schoolbook product over the support of a: O(nnz(a) * n).
+
+    Each nonzero a_i adds a_i * b to out[i:] as one slice update; the
+    common +-1 entries add or subtract b without multiplying.
+    """
     out = [0] * (n + 1)
     for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b[: n + 1 - i]):
-                if bj:
-                    out[i + j] += ai * bj
+        if ai == 1:
+            out[i:] = map(add, out[i:], b)
+        elif ai == -1:
+            out[i:] = map(sub, out[i:], b)
+        elif ai:
+            out[i:] = map(add, out[i:], map(ai.__mul__, b))
     return out
+
+
+# Fewest packed decimal digits of one operand, n+1 slots of d digits,
+# for which _kronecker_mul multiplies in decimal. Measured on the operand
+# pairs of the catalogued routes at orders 500-2000 (2-core x86-64 VM,
+# Python 3.11): decimal took 1.0-1.8x the binary time up to about 27,000
+# digits and 0.45-0.95x from 31,000 on, apart from two pairs near
+# 41,000-43,000 digits (1.1x).
+_DECIMAL_MIN_DIGITS = 30_000
 
 
 def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
@@ -277,19 +302,35 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
 
     Each of the 2n+1 coefficients of the full product is a sum of at
     most n+1 terms, so its absolute value is at most
-    bound = (n+1) max|a| max|b|. With slots of w bytes such that
-    bound < h = 2^(8w-1), a series c evaluates at X = 2^(8w) to one
-    integer, and the product of two such integers holds the product
-    coefficients in its base-X digits. Operands are packed with h added
-    to every slot, which keeps each packed slot in [0, X), and the same
-    bias is subtracted once as an integer. The product gets h in each of
-    its 2n+1 slots, not only the n+1 retained ones: a negative high
-    coefficient would otherwise make the integer negative. Packing is one
-    to_bytes per coefficient and unpacking one from_bytes per retained
-    slot, so both are linear; the multiplication is CPython's Karatsuba,
-    which squares when both operands are equal.
+    bound = (n+1) max|a| max|b|. A series c evaluates at a power X of
+    the radix to one integer, and the product of two such integers holds
+    the product coefficients in its base-X digits as long as every slot
+    holds a coefficient plus a bias h in [0, X).
+
+    Operands of at least _DECIMAL_MIN_DIGITS packed decimal digits go to
+    _decimal_kronecker, whose number-theoretic transform beats CPython's
+    Karatsuba there. A slot of more digits than the interpreter's int/str
+    conversion limit stays binary, since the decimal branch converts each
+    slot through str. Every other product is packed in bytes, as follows.
+
+    With slots of w bytes such that bound < h = 2^(8w-1), X = 2^(8w).
+    Operands are packed with h added to every slot, which keeps each
+    packed slot in [0, X), and the same bias is subtracted once as an
+    integer. The product gets h in each of its 2n+1 slots, not only the
+    n+1 retained ones: a negative high coefficient would otherwise make
+    the integer negative. Packing is one to_bytes per coefficient and
+    unpacking one from_bytes per retained slot, so both are linear; the
+    multiplication is CPython's Karatsuba, which squares when both
+    operands are equal.
     """
     bound = (n + 1) * max(map(abs, a)) * max(map(abs, b))
+    if not bound:
+        return [0] * (n + 1)
+    # d decimal digits with 10^(d-1) > 2^bit_length > bound (0.30103 > log10 2)
+    d = bound.bit_length() * 30103 // 100000 + 2
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if (n + 1) * d >= _DECIMAL_MIN_DIGITS and (not limit or d <= limit):
+        return _decimal_kronecker(a, b, n, d)
     w = bound.bit_length() // 8 + 1
     h = 1 << (8 * w - 1)
     slot = h.to_bytes(w, "little")
@@ -303,6 +344,47 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     full = 2 * n + 1
     raw = (x * y + int.from_bytes(slot * full, "little")).to_bytes(w * full, "little")
     return [int.from_bytes(raw[i : i + w], "little") - h for i in range(0, w * (n + 1), w)]
+
+
+def _decimal_kronecker(a: Sequence[int], b: Sequence[int], n: int, d: int) -> list[int]:
+    """_kronecker_mul in radix X = 10^d, multiplied by libmpdec.
+
+    10^(d-1) > bound >= max|a|, max|b|, so with h = 5 * 10^(d-1) every
+    operand and product slot holds a value in (4, 6) * 10^(d-1): exactly
+    d digits, no carry between slots. Packing is one str per coefficient
+    and one Decimal per operand; the product's string is 2n+1 slots of d
+    digits, and each retained slot goes back through one int. The
+    context has the largest precision and exponent range and traps
+    Inexact and Rounded, so a product that would lose a digit raises
+    instead of returning. decimal is imported here, at the first large
+    product, not by import qmex.
+    """
+    import decimal
+
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        traps=[decimal.Inexact, decimal.Rounded],
+    )
+    h = 5 * 10 ** (d - 1)
+
+    def bias(k: int) -> decimal.Decimal:
+        # h in each of the k lowest slots, doubled up: H(2m) = H(m) + X^m H(m)
+        if k == 1:
+            return decimal.Decimal(h)
+        half = bias(k // 2)
+        twice = ctx.add(half, ctx.scaleb(half, k // 2 * d))
+        return ctx.add(ctx.scaleb(twice, d), h) if k % 2 else twice
+
+    def pack(cs: Sequence[int]) -> decimal.Decimal:
+        packed = decimal.Decimal("".join(map(str, map(h.__add__, reversed(cs)))))
+        return ctx.subtract(packed, bias(len(cs)))
+
+    x = pack(a)
+    y = x if a == b else pack(b)
+    full = 2 * n + 1
+    raw = str(ctx.add(ctx.multiply(x, y), bias(full)))
+    return [int(raw[i : i + d]) - h for i in range(d * (full - 1), d * (n - 1), -d)]
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,44 @@
+"""The two product kernels qmex.series used before its decimal branch, as test oracles.
+
+qmex.series._kronecker_mul packs large operands in decimal digits and
+multiplies them with libmpdec, and qmex.series._sparse_mul adds one
+slice per nonzero entry. The functions here are the kernels they
+replaced: Kronecker substitution in bytes multiplied by CPython's own
+integers, and the schoolbook double loop over the sparse support.
+"""
+
+from typing import Sequence
+
+
+def binary_kronecker_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Product by Kronecker substitution in bytes: one CPython int multiplication.
+
+    Slots of w bytes with bound = (n+1) max|a| max|b| < h = 2^(8w-1);
+    every slot of both operands and of the full 2n+1 slot product
+    carries the bias h, which keeps it in [0, 2^(8w)).
+    """
+    bound = (n + 1) * max(map(abs, a)) * max(map(abs, b))
+    w = bound.bit_length() // 8 + 1
+    h = 1 << (8 * w - 1)
+    slot = h.to_bytes(w, "little")
+
+    def pack(cs: Sequence[int]) -> int:
+        packed = b"".join([(c + h).to_bytes(w, "little") for c in cs])
+        return int.from_bytes(packed, "little") - int.from_bytes(slot * len(cs), "little")
+
+    x = pack(a)
+    y = x if a == b else pack(b)
+    full = 2 * n + 1
+    raw = (x * y + int.from_bytes(slot * full, "little")).to_bytes(w * full, "little")
+    return [int.from_bytes(raw[i : i + w], "little") - h for i in range(0, w * (n + 1), w)]
+
+
+def loop_sparse_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Schoolbook product over the support of a, one coefficient at a time."""
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b[: n + 1 - i]):
+                if bj:
+                    out[i + j] += ai * bj
+    return out

@@ -1,7 +1,10 @@
 """Tests for the exact truncated-series engine."""
 
+import decimal
 import math
 import random
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -16,10 +19,13 @@ from qmex.series import (
     NumericalIntegrityError,
     _kronecker_mul,
     _sparse_cutoff,
+    _sparse_mul,
     make_series,
     one,
     poch,
 )
+
+from product_oracle import binary_kronecker_mul, loop_sparse_mul
 
 
 def brute_mul(a, b):
@@ -201,9 +207,9 @@ coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_s
 
 
 @st.composite
-def dense_coeffs(draw, bits=None):
-    """Signed coefficients of an order in 100..600, too dense for the sparse loop."""
-    n = draw(st.integers(min_value=100, max_value=600))
+def dense_coeffs(draw, bits=None, orders=(100, 600)):
+    """Signed coefficients of an order in orders, too dense for the sparse loop."""
+    n = draw(st.integers(min_value=orders[0], max_value=orders[1]))
     bits = bits if bits is not None else draw(st.sampled_from([3, 64, 200]))
     mag = 2**bits
     cs = draw(st.lists(st.integers(min_value=-mag, max_value=mag), min_size=n + 1, max_size=n + 1))
@@ -330,8 +336,9 @@ class TestKroneckerProduct:
         assert (IntSeries(a) * IntSeries(b)).coefficients() == tuple(brute_mul(a, b))
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=13, max_value=800), st.booleans(), st.integers(min_value=0))
-    @example(n=13, above=False, seed=0)
+    # 25 is the least order whose n+1 slots can hold cutoff + 1 nonzero entries
+    @given(st.integers(min_value=25, max_value=800), st.booleans(), st.integers(min_value=0))
+    @example(n=25, above=False, seed=0)
     @example(n=800, above=True, seed=0)
     def test_sparse_times_dense_on_both_sides_of_the_crossover(self, n, above, seed):
         # nnz = cutoff runs the sparse loop, nnz = cutoff + 1 the Kronecker branch
@@ -344,6 +351,135 @@ class TestKroneckerProduct:
         want = tuple(brute_mul(sparse, dense))
         assert product(IntSeries(sparse), IntSeries(dense)).coefficients() == want
         assert product(IntSeries(dense), IntSeries(sparse)).coefficients() == want
+
+
+def decimal_spy():
+    """Count the products the decimal branch of _kronecker_mul answers."""
+    return mock.patch.object(series, "_decimal_kronecker", wraps=series._decimal_kronecker)
+
+
+def signed_coeffs(n, bits, seed):
+    rng = random.Random(seed)
+    mag = 2**bits
+    return [rng.randint(-mag, mag) for _ in range(n + 1)]
+
+
+class TestDecimalBranch:
+    """_kronecker_mul on both sides of its decimal size rule.
+
+    Every product is checked against brute_mul and against the binary
+    Kronecker kernel it replaced above the rule (tests/product_oracle.py).
+    """
+
+    @pytest.mark.parametrize(
+        "bits,n,decimal_runs",
+        [
+            # (n+1) slots of d decimal digits against _DECIMAL_MIN_DIGITS = 30,000
+            (3, 2000, False),  # d = 7: 14,007 digits
+            (3, 4500, True),  # d = 7: 31,507 digits
+            (64, 300, False),  # d = 43: 12,943 digits
+            (64, 800, True),  # d = 43: 34,443 digits
+            (200, 100, False),  # d = 124: 12,524 digits
+            (200, 300, True),  # d = 125: 37,625 digits
+        ],
+    )
+    def test_orders_on_both_sides_of_the_size_rule(self, bits, n, decimal_runs):
+        a, b = signed_coeffs(n, bits, 1), signed_coeffs(n, bits, 2)
+        a[-1] = -(2**bits)  # a negative top slot, and max|a| exactly 2^bits
+        b[-1] = 2**bits
+        with decimal_spy() as spy:
+            got = dense_product(IntSeries(a), IntSeries(b))
+        assert spy.call_count == decimal_runs
+        assert list(got.coefficients()) == brute_mul(a, b) == binary_kronecker_mul(a, b, n)
+
+    @pytest.mark.parametrize("bits,n", [(64, 800), (200, 300)])
+    def test_square_above_the_rule(self, bits, n):
+        a = signed_coeffs(n, bits, 3)
+        with decimal_spy() as spy:
+            got = _kronecker_mul(tuple(a), tuple(a), n)
+        assert spy.call_count == 1
+        assert got == brute_mul(a, a) == binary_kronecker_mul(a, a, n)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        dense_coeffs(bits=64, orders=(600, 900)),
+        dense_coeffs(bits=64, orders=(600, 900)),
+        dense_coeffs(bits=200, orders=(200, 400)),
+    )
+    def test_decimal_products_match_the_binary_oracle(self, a, b, c):
+        # orders straddle the rule: 64-bit slots cross it near 700, 200-bit near 240
+        for f, g in ((a, b), (a, a), (c, c), (c, c[::-1])):
+            n = min(len(f), len(g)) - 1
+            f, g = tuple(f[: n + 1]), tuple(g[: n + 1])
+            assert _kronecker_mul(f, g, n) == binary_kronecker_mul(f, g, n)
+
+    def test_zero_operands_above_the_rule(self):
+        n = 2000
+        zeros, dense = [0] * (n + 1), signed_coeffs(n, 200, 4)
+        assert _kronecker_mul(tuple(zeros), tuple(dense), n) == [0] * (n + 1)
+        assert _kronecker_mul(tuple(dense), tuple(zeros), n) == [0] * (n + 1)
+        assert _kronecker_mul(tuple(zeros), tuple(zeros), n) == [0] * (n + 1)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+    def test_slot_wider_than_the_int_str_limit_stays_binary(self):
+        # one coefficient of 4,400 digits: 4,411-digit slots at order 10 are
+        # 48,521 packed digits, above the rule, but str() would refuse a slot
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            n = 10
+            a = [10**4400 - 7] + [3] * n
+            b = list(range(1, n + 2))
+            with decimal_spy() as spy:
+                got = _kronecker_mul(tuple(a), tuple(b), n)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert spy.call_count == 0
+        assert got == brute_mul(a, b) == binary_kronecker_mul(a, b, n)
+
+    def test_product_of_more_than_a_million_digits(self):
+        # 2,140-digit coefficients at order 120: 241 slots of 4,284 digits,
+        # 1,032,444 in all, past the default decimal exponent limit of 999,999
+        n = 120
+        rng = random.Random(5)
+        a = [rng.randint(-(10**2140), 10**2140) for _ in range(n + 1)]
+        b = [rng.randint(-(10**2140), 10**2140) for _ in range(n + 1)]
+        with decimal_spy() as spy:
+            got = _kronecker_mul(tuple(a), tuple(b), n)
+        assert spy.call_count == 1
+        assert got == binary_kronecker_mul(a, b, n) == brute_mul(a, b)
+
+    def test_a_product_that_would_round_raises(self, monkeypatch):
+        # room for the operands but not for their product: libmpdec would
+        # round, and the trapped context raises instead of returning
+        n = 300
+        a = signed_coeffs(n, 200, 6)
+        monkeypatch.setattr(decimal, "MAX_PREC", (n + 1) * 130)
+        with pytest.raises((decimal.Inexact, decimal.Rounded)):
+            _kronecker_mul(tuple(a), tuple(a), n)
+
+
+class TestSparseKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=300),
+        st.lists(st.sampled_from([1, -1, 2, -5, 2**70, -(2**90)]), max_size=40),
+        st.integers(min_value=0),
+    )
+    def test_slice_updates_match_the_double_loop(self, n, values, seed):
+        rng = random.Random(seed)
+        sparse = [0] * (n + 1)
+        for i, v in zip(rng.sample(range(n + 1), min(len(values), n + 1)), values):
+            sparse[i] = v
+        dense = [rng.randint(-(2**80), 2**80) for _ in range(n + 1)]
+        want = loop_sparse_mul(sparse, dense, n)
+        assert _sparse_mul(tuple(sparse), tuple(dense), n) == want == brute_mul(sparse, dense)
+
+
+def test_import_loads_no_decimal():
+    # decimal is imported at the first large product, never at import time
+    code = "import sys, qmex, qmex.cli; sys.exit('decimal' in sys.modules or '_decimal' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_zero_and_one():
