@@ -82,9 +82,9 @@ class NamedSeries:
 
 
 # Largest order any builder accepts. Measured cold builds at MAX_ORDER
-# take 1.9-2.0 s (chern-sigma-maex), 1.3-1.5 s (sigma-d-moex alt1),
-# 1.1-1.2 s (sigma-d-maex, sigma-mex) and at most 1.0 s for every other
-# route (two fresh processes each, 2-core x86-64 VM, Python 3.11).
+# take 1.4-1.6 s (chern-sigma-maex), 0.8-0.9 s (sigma-d-maex,
+# sigma-d-moex alt1) and at most 0.35 s for every other route (two
+# fresh processes each, 2-core x86-64 VM, Python 3.11).
 MAX_ORDER = 8000
 
 # Calls of one builder served from the store (hits) and built (misses).

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import pathlib
 import random
 import subprocess
 import sys
@@ -367,8 +368,9 @@ def signed_coeffs(n, bits, seed):
 class TestDecimalBranch:
     """_kronecker_mul on both sides of its decimal size rule.
 
-    Every product is checked against brute_mul and against the binary
-    Kronecker kernel it replaced above the rule (tests/product_oracle.py).
+    Every product is checked against the binary Kronecker kernel that the
+    decimal branch replaced above the rule (tests/product_oracle.py), and
+    every fixed case against brute_mul as well.
     """
 
     @pytest.mark.parametrize(
@@ -478,8 +480,12 @@ class TestSparseKernel:
 
 def test_import_loads_no_decimal():
     # decimal is imported at the first large product, never at import time
-    code = "import sys, qmex, qmex.cli; sys.exit('decimal' in sys.modules or '_decimal' in sys.modules)"
-    subprocess.run([sys.executable, "-c", code], check=True)
+    src = str(pathlib.Path(series.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import qmex, qmex.cli; "
+        "sys.exit('decimal' in sys.modules or '_decimal' in sys.modules)"
+    )
+    subprocess.run([sys.executable, "-I", "-c", code], check=True)
 
 
 def test_zero_and_one():
