@@ -454,6 +454,7 @@ def parity_check(nmax: int) -> VerificationReport:
     if nmax < 1:
         raise ValueError("parity scan needs nmax >= 1")
     gate = min(nmax, 35)
+    _odd_mex_count_all(gate)  # the top first: one census walk serves the whole gate
     a = a_series(nmax)
     for n in range(gate + 1):
         got, want = a.coefficient(n), _odd_mex_count_all(n)

@@ -1,12 +1,14 @@
 """Tests for partition enumeration and the excludant statistics."""
 
 import math
+import random
 from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import census_oracle
 from qmex import partitions
 from qmex.cli import run
 from qmex.identities import verify
@@ -105,9 +107,10 @@ def reference_census(n, distinct_only):
 
 
 def assert_census_equals_reference(n, distinct_only):
-    got, want = _census(n, distinct_only), reference_census(n, distinct_only)
-    for field, g, w in zip(_Census._fields, got, want):
-        assert g == w, (n, distinct_only, field)
+    got = _census(n, distinct_only)
+    for want in (census_oracle.census(n, distinct_only), reference_census(n, distinct_only)):
+        for field, g, w in zip(_Census._fields, got, want):
+            assert g == w, (n, distinct_only, field)
 
 
 def largest_n_within_budget(distinct_only):
@@ -291,8 +294,21 @@ class TestOracles:
 class TestCensus:
     @pytest.mark.parametrize("distinct_only", [False, True])
     def test_walk_equals_reference_census(self, distinct_only):
+        partitions._clear_censuses()  # ascending, so every n is a new walk
         for n in range(31):
             assert_census_equals_reference(n, distinct_only)
+
+    @pytest.mark.parametrize(("distinct_only", "top"), [(False, 45), (True, 40)])
+    def test_request_order_does_not_change_the_census(self, distinct_only, top):
+        # the store serves a lower n from the longest walk; every order must agree
+        shuffled = list(range(top + 1))
+        random.Random(20).shuffle(shuffled)
+        results = []
+        for order in (range(top + 1), range(top, -1, -1), shuffled):
+            partitions._clear_censuses()
+            got = {n: _census(n, distinct_only) for n in order}
+            results.append([got[n] for n in range(top + 1)])
+        assert results[0] == results[1] == results[2]
 
     @pytest.mark.parametrize("distinct_only", [False, True])
     def test_walk_equals_reference_census_at_budget_top(self, distinct_only):
@@ -349,7 +365,7 @@ class TestOverBudgetRefused:
         def refuse(*args):
             raise AssertionError(f"enumerated {args}")
 
-        _census.cache_clear()
+        partitions._clear_censuses()
         monkeypatch.setattr(partitions, "enum_partitions", refuse)
         monkeypatch.setattr(partitions, "_walk", refuse)
 
