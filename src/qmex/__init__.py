@@ -11,10 +11,9 @@ __version__ = "0.1.0"
 
 from . import asymptotics, cli, identities, partitions, qfunctions, series
 from .qfunctions import Form, NamedSeries
-from .series import INFINITE, IntSeries
+from .series import IntSeries
 
 __all__ = [
-    "INFINITE",
     "Form",
     "IntSeries",
     "NamedSeries",

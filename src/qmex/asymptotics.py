@@ -35,6 +35,12 @@ _BESSEL_EPS = 1e-17
 # 0.035-0.05 s and 200 terms 0.15 s (2-core x86-64 VM, Python 3.11).
 HRR_MAX_TERMS = 100
 
+# Largest |partial sum| hrr_sigma_mex rounds. Its terms are summed in
+# doubles; against sigma_mex_series the first wrong rounding is at
+# n = 222 (|partial| about 2^46.6, any term count from 5 to 100), and
+# every n <= 208 stays below 2^45.
+HRR_MAX_PARTIAL = 2.0**45
+
 
 class AsymKind(enum.Enum):
     SIGMA_MEX = "sigma-mex"
@@ -134,7 +140,8 @@ def hrr_sigma_mex(n: int, terms: int) -> HrrResult:
     The returned residual is the distance to the nearest integer, which
     for moderate n already identifies the exact coefficient. More than
     HRR_MAX_TERMS terms raise ValueError before any work; an n or a
-    partial sum beyond float range raises NumericalIntegrityError.
+    partial sum beyond float range, or a partial sum of HRR_MAX_PARTIAL
+    or more, raises NumericalIntegrityError.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -153,6 +160,10 @@ def hrr_sigma_mex(n: int, terms: int) -> HrrResult:
     partial = prefactor * acc
     if not math.isfinite(partial):
         raise NumericalIntegrityError(f"partial sum for n = {n} is {partial!r}, not finite")
+    if abs(partial) >= HRR_MAX_PARTIAL:
+        raise NumericalIntegrityError(
+            f"partial sum for n = {n} is {partial!r}, at least 2^45: too large to round exactly"
+        )
     rounded = math.floor(partial + 0.5)
     return HrrResult(n, terms, partial, int(rounded), abs(partial - rounded))
 

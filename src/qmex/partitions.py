@@ -4,23 +4,24 @@ Everything in this module works by exhaustive enumeration. It is the
 slow, obviously-correct half of the package: the generating-function
 builders are checked coefficient by coefficient against these counts.
 
-enum_partitions is the public stream. Unrestricted partitions come
-from Zoghbi and Stojmenović's ZS1 loop ("Fast algorithms for
-generating integer partitions", Int. J. Comput. Math. 70, 1998), O(1)
-amortised steps per partition; distinct parts come from a recursive
-generator at most about sqrt(2n) frames deep.
+enum_partitions is the per-partition stream: one recursive generator,
+which adds the ones of a partition in one step, yields each partition
+as a plain tuple of parts in reverse-lexicographic order, for all or
+distinct parts. mex, moex and maex read such a tuple. Nothing in the
+package reads the stream; the tests build their reference counts on it.
 
-The oracles read a census of n, which does not go through that
-stream. A partition of n is a partition with no part 1 of weight
-n - j plus j ones, where j = 0 or 1 for distinct parts; so p(n) - p(n-1)
-partitions of n have no part 1 (Andrews, The Theory of Partitions,
-1976). One walk visits the partitions with no part 1 depth first by
-(part k, multiplicity j), parts in decreasing order, and tallies them
-by their set of parts S as an int bitmask. mex, moex, maex, the largest
-and the smallest part depend only on the set, so each is read once for
-S and once for S with part 1, with bit operations. For all parts the
-walk covers every weight up to n, each count an int with one slot per
-weight, and gives the census of every m <= n: the p(45) = 89134
+The census of n is the only path from partitions to an oracle value,
+and it does not go through that stream. A partition of n is a
+partition with no part 1 of weight n - j plus j ones, where j = 0 or
+1 for distinct parts; so p(n) - p(n-1) partitions of n have no part 1
+(Andrews, The Theory of Partitions, 1976). One walk visits the
+partitions with no part 1 depth first by (part k, multiplicity j),
+parts in decreasing order, and tallies them by their set of parts S as
+an int bitmask. mex, moex, maex, the largest and the smallest part
+depend only on the set, so each is read once for S and once for S
+with part 1, with bit operations. For all parts the walk covers every
+weight up to n, each count an int with one slot per weight, and gives
+the census of every m <= n: the p(45) = 89134
 partitions with no part 1 and weight at most 45 share 8971 sets. The
 censuses of the longest such walk are kept and serve every lower n;
 distinct parts keep one census per n, from the weights n - 1 and n.
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
@@ -57,53 +57,6 @@ from typing import Iterator, Mapping, NamedTuple
 # 3.11). Every registry default range fits: p(35) = 14883 and
 # q(40) = 1113.
 CENSUS_BUDGET = 100_000
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A partition of a non-negative integer, parts in non-increasing order.
-
-    distinct=True additionally requires strictly decreasing parts and
-    marks that the partition came from the distinct-parts stream.
-    """
-
-    parts: tuple[int, ...]
-    distinct: bool = False
-
-    def __post_init__(self) -> None:
-        prev = None
-        for p in self.parts:
-            if isinstance(p, bool) or not isinstance(p, int) or p < 1:
-                raise ValueError(f"parts must be positive integers, got {p!r}")
-            if prev is not None:
-                if self.distinct:
-                    if p >= prev:
-                        raise ValueError("distinct partition must strictly decrease")
-                elif p > prev:
-                    raise ValueError("parts must be non-increasing")
-            prev = p
-
-    @classmethod
-    def _trusted(cls, parts: tuple[int, ...], distinct: bool = False) -> "Partition":
-        """A partition the package's own streams built, without re-validating it."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "parts", parts)
-        object.__setattr__(p, "distinct", distinct)
-        return p
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def largest(self) -> int:
-        return self.parts[0] if self.parts else 0
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
 
 
 class StatKind(enum.Enum):
@@ -124,102 +77,62 @@ class CountKind(enum.Enum):
     ODD_MEX = "odd-mex"
 
 
-def enum_partitions(n: int, distinct_only: bool = False) -> Iterator[Partition]:
-    """Yield the partitions of n in reverse-lexicographic order.
+def enum_partitions(n: int, distinct_only: bool = False) -> Iterator[tuple[int, ...]]:
+    """Yield the partitions of n as tuples of parts in reverse-lexicographic order.
 
+    Parts are non-increasing, strictly decreasing for distinct parts.
     Largest first part first; ties broken recursively the same way, so
-    for n = 4: (4), (3,1), (2,2), (2,1,1), (1,1,1,1). n = 0 yields the
-    empty partition once. The stream is generated lazily.
+    for n = 4: (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1). n = 0
+    yields the empty tuple once. The stream is generated lazily.
     """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
-    return _distinct_stream(n) if distinct_only else _zs1_stream(n)
+    return _finish((), n, n, distinct_only)
 
 
-def _zs1_stream(n: int) -> Iterator[Partition]:
-    """All partitions of n by ZS1.
-
-    x[:m] is the current partition and x[h] its last part above 1;
-    every slot after h holds 1. Each step lowers x[h] by one and
-    refills the tail greedily with parts of that size.
-    """
-    trusted = Partition._trusted
-    if n == 0:
-        yield trusted(())
+def _finish(
+    prefix: tuple[int, ...], rest: int, top: int, distinct_only: bool
+) -> Iterator[tuple[int, ...]]:
+    """Yield prefix extended by each partition of rest into parts of at most top."""
+    if rest == 0 or top == 1:  # only ones are left; for distinct parts rest is 0 or 1
+        yield prefix + (1,) * rest
         return
-    x = [1] * n
-    x[0] = n
-    m, h = 1, 0
-    yield trusted((n,))
-    while x[0] != 1:
-        if x[h] == 2:
-            x[h] = 1
-            m += 1
-            h -= 1
-        else:
-            r = x[h] - 1
-            t = m - h  # the ones after h plus the unit taken from x[h]
-            x[h] = r
-            while t >= r:
-                h += 1
-                x[h] = r
-                t -= r
-            if t == 0:
-                m = h + 1
-            else:
-                m = h + 2
-                if t > 1:
-                    h += 1
-                    x[h] = t
-        yield trusted(tuple(x[:m]))
+    for part in range(min(rest, top), 0, -1):
+        if distinct_only and part * (part + 1) // 2 < rest:
+            break  # parts part, part-1, ..., 1 cannot fill rest
+        below = part - 1 if distinct_only else part
+        yield from _finish(prefix + (part,), rest - part, below, distinct_only)
 
 
-def _distinct_stream(n: int) -> Iterator[Partition]:
-    trusted = Partition._trusted
-
-    def gen(remaining: int, cap: int, prefix: list[int]) -> Iterator[Partition]:
-        if remaining == 0:
-            yield trusted(tuple(prefix), True)
-            return
-        for part in range(min(remaining, cap), 0, -1):
-            if part * (part + 1) // 2 < remaining:
-                break  # parts part, part-1, ..., 1 cannot fill remaining
-            prefix.append(part)
-            yield from gen(remaining - part, part - 1, prefix)
-            prefix.pop()
-
-    return gen(n, n, [])
-
-
-def mex(p: Partition) -> int:
+def mex(parts: tuple[int, ...]) -> int:
     """Smallest positive integer that is not a part."""
-    have = set(p.parts)
+    have = set(parts)
     m = 1
     while m in have:
         m += 1
     return m
 
 
-def moex(p: Partition) -> int:
+def moex(parts: tuple[int, ...]) -> int:
     """Smallest odd positive integer that is not a part."""
-    have = set(p.parts)
+    have = set(parts)
     m = 1
     while m in have:
         m += 2
     return m
 
 
-def maex(p: Partition) -> int:
+def maex(parts: tuple[int, ...]) -> int:
     """Largest non-negative integer below the largest part that is not a part.
 
-    0 when every candidate is present, in particular for the empty
-    partition and for staircases like (2, 1) where 0 itself is the
-    largest missing value.
+    parts is non-increasing, so parts[0] is the largest. 0 when every
+    candidate is present, in particular for the empty partition and for
+    staircases like (2, 1) where 0 itself is the largest missing value.
     """
-    if not p.parts:
+    if not parts:
         return 0
-    have = set(p.parts)
-    for g in range(p.parts[0] - 1, 0, -1):
+    have = set(parts)
+    for g in range(parts[0] - 1, 0, -1):
         if g not in have:
             return g
     return 0

@@ -67,7 +67,7 @@ class IntSeries:
 
         Kernel results and stored prefixes come from int arithmetic on
         checked series, so re-checking every coefficient only costs time.
-        Outside input goes through IntSeries() or make_series().
+        Outside input goes through IntSeries().
         """
         s = object.__new__(cls)
         s._coeffs = tuple(coeffs)
@@ -205,18 +205,6 @@ class IntSeries:
 
 # ----------------------------------------------------------------------
 # module-level constructors and the product builder
-
-
-def make_series(coeffs: Sequence[int], order: int) -> IntSeries:
-    """Build a series from an explicit coefficient list of length order+1."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    cs = list(coeffs)
-    if len(cs) != order + 1:
-        raise ValueError(
-            f"expected {order + 1} coefficients for order {order}, got {len(cs)}"
-        )
-    return IntSeries(cs)
 
 
 def one(order: int) -> IntSeries:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qmex import asymptotics
 from qmex.asymptotics import (
     EULER_GAMMA,
+    HRR_MAX_PARTIAL,
     HRR_MAX_TERMS,
     AsymKind,
     HrrResult,
@@ -222,6 +223,22 @@ class TestHrr:
     def test_pinned_values(self, want):
         # the exact-Fraction phase route gave these; they fix the hrr stdout
         assert hrr_sigma_mex(want.n, want.terms) == want
+
+    @pytest.mark.parametrize("terms", [20, HRR_MAX_TERMS])
+    @pytest.mark.parametrize("n", [222, 250, 300])
+    def test_partial_past_double_rounding_raises(self, n, terms):
+        # from n = 222 the double sum rounds to a wrong integer; 2^45 refuses first
+        with pytest.raises(NumericalIntegrityError, match="2\\^45"):
+            hrr_sigma_mex(n, terms)
+
+    def test_rounds_exactly_below_the_partial_bound(self):
+        smex = sigma_mex_series(230)
+        for n in range(150, 231):
+            if smex.coefficient(n) < HRR_MAX_PARTIAL:
+                assert hrr_sigma_mex(n, 20).rounded == smex.coefficient(n), n
+            else:
+                with pytest.raises(NumericalIntegrityError):
+                    hrr_sigma_mex(n, 20)
 
     def test_validation(self):
         with pytest.raises(ValueError):

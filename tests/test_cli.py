@@ -158,6 +158,12 @@ class TestNumericCommands:
         assert captured.out == ""
         assert "numerical integrity failure" in captured.err
 
+    @pytest.mark.parametrize("n", ["222", "250", "300"])
+    def test_hrr_past_exact_rounding_is_integrity_failure(self, capsys, n):
+        code, out = invoke(capsys, "hrr", "--n", n, "--terms", "20")
+        assert code == 1
+        assert out == ""
+
     def test_asym_overflow_is_integrity_failure(self, capsys):
         code, out = invoke(capsys, "asym", "--kind", "sigma-mex", "--n", "100000")
         assert code == 1

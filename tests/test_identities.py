@@ -20,7 +20,7 @@ from qmex.identities import (
 )
 from qmex import qfunctions
 from qmex.qfunctions import Form, sigma_d_mex_series
-from qmex.series import IntSeries, make_series
+from qmex.series import IntSeries
 
 
 REQUIRED_NAMES = {

@@ -5,7 +5,7 @@ import random
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import census_oracle
@@ -15,7 +15,6 @@ from qmex.identities import verify
 from qmex.partitions import (
     CENSUS_BUDGET,
     CountKind,
-    Partition,
     StatKind,
     _Census,
     _census,
@@ -32,49 +31,30 @@ from qmex.qfunctions import distinct_gen
 from qmex.series import INFINITE, poch
 
 
-def P(*parts, distinct=False):
-    return Partition(tuple(parts), distinct)
-
-
 # ----------------------------------------------------------------------
-# the previous implementations, kept as references for the census and ZS1
-
-
-def recursive_partitions(n, distinct_only=False):
-    """The recursive generator both streams used before ZS1."""
-
-    def gen(remaining, cap, prefix):
-        if remaining == 0:
-            yield Partition(tuple(prefix), distinct_only)
-            return
-        for part in range(min(remaining, cap), 0, -1):
-            prefix.append(part)
-            yield from gen(remaining - part, part - 1 if distinct_only else part, prefix)
-            prefix.pop()
-
-    return gen(n, n, [])
+# references for the census, built on the per-partition stream
 
 
 REFERENCE_STATS = {
     StatKind.MEX: mex,
     StatKind.MOEX: moex,
     StatKind.MAEX: maex,
-    StatKind.LARGEST: lambda p: p.largest,
+    StatKind.LARGEST: lambda p: p[0] if p else 0,
 }
 
 
 def reference_stat_sum(kind, n, distinct_only):
-    return sum(REFERENCE_STATS[kind](p) for p in recursive_partitions(n, distinct_only))
+    return sum(REFERENCE_STATS[kind](p) for p in enum_partitions(n, distinct_only))
 
 
 def reference_refined_count(kind, index, n, distinct_only):
     predicate = {
         CountKind.MEX_EQ: lambda p: mex(p) == index,
         CountKind.MEX_GT: lambda p: mex(p) > index,
-        CountKind.SMALLEST_GT: lambda p: all(part > index for part in p.parts),
+        CountKind.SMALLEST_GT: lambda p: all(part > index for part in p),
         CountKind.ODD_MEX: lambda p: mex(p) % 2 == 1,
     }[kind]
-    return sum(1 for p in recursive_partitions(n, distinct_only) if predicate(p))
+    return sum(1 for p in enum_partitions(n, distinct_only) if predicate(p))
 
 
 def reference_census(n, distinct_only):
@@ -88,9 +68,9 @@ def reference_census(n, distinct_only):
         mex_sum += m
         moex_sum += moex(p)
         maex_sum += maex(p)
-        largest_sum += p.largest
+        largest_sum += p[0] if p else 0
         mex_counts[m] = mex_counts.get(m, 0) + 1
-        smallest = p.parts[-1] if p.parts else math.inf
+        smallest = p[-1] if p else math.inf
         smallest_counts[smallest] = smallest_counts.get(smallest, 0) + 1
     sums = {
         StatKind.MEX: mex_sum,
@@ -118,47 +98,21 @@ def largest_n_within_budget(distinct_only):
 
 
 def reference_two_colored(n):
-    d = [sum(1 for _ in recursive_partitions(j, True)) for j in range(n + 1)]
+    d = [sum(1 for _ in enum_partitions(j, True)) for j in range(n + 1)]
     return sum(d[j] * d[n - j] for j in range(n + 1))
-
-
-class TestPartitionType:
-    def test_weight_and_largest(self):
-        assert P(4, 2, 1).weight == 7
-        assert P(4, 2, 1).largest == 4
-        assert P().weight == 0
-        assert P().largest == 0
-
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            P(1, 2)
-        with pytest.raises(ValueError):
-            Partition((2, 2), distinct=True)
-        with pytest.raises(ValueError):
-            P(3, 0)
-
-    def test_repetition_allowed_when_not_distinct(self):
-        assert P(2, 2, 1).parts == (2, 2, 1)
-
-    def test_bool_parts_rejected(self):
-        with pytest.raises(ValueError):
-            P(True)
-        with pytest.raises(ValueError):
-            Partition((2, True), distinct=True)
 
 
 class TestEnumeration:
     def test_reverse_lex_order_all(self):
-        got = [p.parts for p in enum_partitions(4)]
+        got = list(enum_partitions(4))
         assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
     def test_reverse_lex_order_distinct(self):
-        got = [p.parts for p in enum_partitions(6, True)]
+        got = list(enum_partitions(6, True))
         assert got == [(6,), (5, 1), (4, 2), (3, 2, 1)]
 
     def test_zero_yields_empty(self):
-        got = list(enum_partitions(0))
-        assert len(got) == 1 and got[0].parts == ()
+        assert list(enum_partitions(0)) == [()]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -175,42 +129,50 @@ class TestEnumeration:
             assert sum(1 for _ in enum_partitions(n)) == p.coefficient(n)
 
     @pytest.mark.parametrize("distinct_only", [False, True])
-    def test_streams_equal_recursive_generator(self, distinct_only):
-        for n in range(31):
-            assert list(enum_partitions(n, distinct_only)) == list(
-                recursive_partitions(n, distinct_only)
-            ), n
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(0, 30))
+    @example(n=30)
+    def test_stream_shape(self, distinct_only, n):
+        # each tuple is a partition of n in the basis's order, once, reverse-lex
+        got = list(enum_partitions(n, distinct_only))
+        for p in got:
+            assert type(p) is tuple and sum(p) == n, p
+            assert all(type(part) is int and part >= 1 for part in p), p
+            pairs = zip(p, p[1:])
+            assert all(a > b if distinct_only else a >= b for a, b in pairs), p
+        assert len(set(got)) == len(got)
+        assert all(a > b for a, b in zip(got, got[1:]))
 
 
 class TestStatistics:
     def test_empty_partition_conventions(self):
-        assert mex(P()) == 1
-        assert moex(P()) == 1
-        assert maex(P()) == 0
+        assert mex(()) == 1
+        assert moex(()) == 1
+        assert maex(()) == 0
 
     def test_mex_examples(self):
-        assert mex(P(3, 2, 1)) == 4
-        assert mex(P(4, 2, 1)) == 3
-        assert mex(P(2)) == 1
-        assert mex(P(5, 3, 1, 1)) == 2
+        assert mex((3, 2, 1)) == 4
+        assert mex((4, 2, 1)) == 3
+        assert mex((2,)) == 1
+        assert mex((5, 3, 1, 1)) == 2
 
     def test_moex_examples(self):
-        assert moex(P(1)) == 3
-        assert moex(P(2)) == 1
-        assert moex(P(3, 1)) == 5
-        assert moex(P(5, 3, 1)) == 7
+        assert moex((1,)) == 3
+        assert moex((2,)) == 1
+        assert moex((3, 1)) == 5
+        assert moex((5, 3, 1)) == 7
 
     def test_maex_examples(self):
-        assert maex(P(8, 1)) == 7
-        assert maex(P(2)) == 1
-        assert maex(P(2, 1)) == 0
-        assert maex(P(5, 4, 1)) == 3
-        assert maex(P(1)) == 0
+        assert maex((8, 1)) == 7
+        assert maex((2,)) == 1
+        assert maex((2, 1)) == 0
+        assert maex((5, 4, 1)) == 3
+        assert maex((1,)) == 0
 
     def test_statistic_invariants_all_partitions(self):
         for n in range(21):
             for p in enum_partitions(n):
-                parts = set(p.parts)
+                parts = set(p)
                 m = mex(p)
                 assert m not in parts
                 assert all(i in parts for i in range(1, m))
@@ -219,15 +181,16 @@ class TestStatistics:
                 assert all(i in parts for i in range(1, mo, 2))
                 mx = maex(p)
                 assert mx not in parts or mx == 0
-                assert mx < p.largest or (mx == 0 and p.largest <= 1)
+                largest = p[0] if p else 0
+                assert mx < largest or (mx == 0 and largest <= 1)
                 if mx:
-                    assert all(g in parts for g in range(mx + 1, p.largest))
+                    assert all(g in parts for g in range(mx + 1, largest))
 
     def test_mex_bounded_on_distinct(self):
         # a distinct partition of n has at most ~sqrt(2n) parts, so mex is small
         for n in range(26):
             for p in enum_partitions(n, True):
-                assert mex(p) <= len(p.parts) + 1
+                assert mex(p) <= len(p) + 1
 
 
 class TestOracles:

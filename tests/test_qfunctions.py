@@ -52,7 +52,6 @@ from qmex.series import (
     _div_binomial_inplace,
     _mul_binomial_inplace,
     _shift_inplace,
-    make_series,
     poch,
 )
 
@@ -373,7 +372,7 @@ class TestSigmaStar:
         inner = [(-c if i % 2 else c) for i, c in enumerate(star)]
         inner[0] += 1
         assert tuple(inner) == (1, 2, -2, 2)
-        lhs = make_series([1, 1, 1, 2], 3) * make_series(inner, 3)
+        lhs = IntSeries([1, 1, 1, 2]) * IntSeries(inner)
         assert lhs.coefficients() == (1, 3, 1, 4)
 
 
@@ -519,7 +518,7 @@ class TestResidueMexSum:
         # mex_{A,a} = a + A j with a, ..., a + A(j-1) all parts; the sum weighs a
         # partition a + A sum_{k=1..j} s^k: mex_{A,a} for s = +1, a - A (j mod 2) for s = -1
         base = distinct_gen(top) if distinct else partition_gen(top)
-        parts = [[p.parts for p in enum_partitions(n, distinct)] for n in range(top + 1)]
+        parts = [list(enum_partitions(n, distinct)) for n in range(top + 1)]
         for A, a in RESIDUE_CLASSES:
             got = base * IntSeries(qfunctions._mex_sum(top, A, a, s, distinct))
             weight = lambda m: m if s == 1 else a - A * ((m - a) // A % 2)
