@@ -12,17 +12,19 @@ a monomial times one or two binomial factors and A_n sparse, runs
 through one kernel, _nested_sum, by Horner's rule from the innermost
 term out: O(N) list work a step on a window of the coefficients the
 outer terms can still reach. A_n is the sparse inner sum over parts
-above the gap in the two maex double sums, a constant weight in the
-q-hypergeometric sums; four of those are one residue-class mex sum,
-_mex_sum: sigma, the inner sums of a-d and sigma-d-moex, and a.
+above the gap in the maex double sum over distinct parts, a constant
+weight in the q-hypergeometric sums; four of those are one
+residue-class mex sum, _mex_sum: sigma, the inner sums of a-d and
+sigma-d-moex, and a.
 
 The slices of the refined families come from one running quotient per
 family (_slices): the tail (-q^{m+1};q)_inf of a mex slice is the
 previous tail divided by (1 + q^m), O(order) a step. 1/(q;q)_inf is
 stored once (partition_gen), the inverse of a series that Euler's
 pentagonal theorem makes sparse (_euler_product); (-q;q)_inf, the
-factor most builders end with, is (q^2;q^2)_inf times it, and the
-largest-part sum is it times the divisor-count series.
+factor most builders end with, is (q^2;q^2)_inf times it, the
+largest-part sum is it times the divisor-count series, and the maex sum
+over all partitions it times that plus sigma_star / 2 (Chern, 2021).
 
 Every builder is served from one store: the longest series built per
 key serves each lower order by slicing. clear_cache() empties it, and
@@ -82,8 +84,8 @@ class NamedSeries:
 
 
 # Largest order any builder accepts. Measured cold builds at MAX_ORDER
-# take 1.4-1.6 s (chern-sigma-maex), 0.8-0.9 s (sigma-d-maex,
-# sigma-d-moex alt1) and at most 0.35 s for every other route (two
+# take 0.9-1.2 s (sigma-d-maex, sigma-d-moex alt1), 0.30-0.38 s
+# (chern-sigma-maex) and at most 0.40 s for every other route (two
 # fresh processes each, 2-core x86-64 VM, Python 3.11).
 MAX_ORDER = 8000
 
@@ -375,29 +377,27 @@ def sigma_d_maex_series(order: int) -> IntSeries:
     return IntSeries._trusted(_nested_sum(order, step, 1))
 
 
+def _divisor_counts(order: int) -> list[int]:
+    """Divisor counts d(0..order), d(0) = 0, by a sieve: O(order log order)."""
+    d = [0] * (order + 1)
+    for k in range(1, order + 1):
+        d[k::k] = [x + 1 for x in d[k::k]]
+    return d
+
+
 @_builder("chern-sigma-maex")
 def chern_sigma_maex_series(order: int) -> IntSeries:
     """Sum of the maximal excludant over all partitions.
 
-    A partition with maex = k and largest part L omits k, holds each of
-    k+1..L at least once and is free below k (Chern, "Partitions and
-    the maximal excludant", 2021). These runs above the gap give
-    q^{T(L)-T(k)} (1 - q^k) / (q;q)_L with T(j) = j(j+1)/2, so the sum
-    is sum_{L>=2} P_L / (q;q)_L, P_L = sum_{k<L} k (1 - q^k) q^{T(L)-T(k)}.
-    As a nested sum t_L = q^L / (q;q)_L, ratio q / (1 - q^L), and
-    A_L = P_L / q^L, which telescopes to
-    (L-1) - sum_{j<=L-2} q^{T(L-1)-T(j)}, added sparsely: one binomial
-    division a step, O(order^2).
+    Chern ("Partitions and the maximal excludant", 2021) ties it to
+    Andrews, Dyson and Hickerson's sigma_star: the sum is
+    sigma_L(q) + sigma_star(q) / (2 (q;q)_inf), that is partition_gen
+    times sum_n d(n) q^n + sigma_star / 2, one product. Every weight of
+    sigma_star is 2 (-1)^n, so the halving is exact.
     """
-
-    def addend(L: int) -> Iterator[tuple[int, int]]:
-        yield 0, L - 1
-        e = 0
-        for j in range(L - 2, -1, -1):
-            e += j + 1  # T(L-1) - T(j)
-            yield e, -1
-
-    return IntSeries._trusted(_nested_sum(order, lambda L: (addend(L), 1, ((-1, L, -1),)), 1))
+    star = sigma_star_series(order).coefficients()
+    inner = [d + s // 2 for d, s in zip(_divisor_counts(order), star)]
+    return partition_gen(order) * IntSeries._trusted(inner)
 
 
 # ----------------------------------------------------------------------
@@ -525,13 +525,9 @@ def sigma_L_series(order: int) -> IntSeries:
     (Andrews, The Theory of Partitions, 1976), so this is the sum of the
     number of parts. The parts equal to k, counted over all partitions,
     have generating function q^k / (1 - q^k) / (q;q)_inf; summed over k
-    that is partition_gen times sum_n d(n) q^n, d(n) the number of
-    divisors of n. d comes from a divisor sieve, O(order log order).
+    that is partition_gen times sum_n d(n) q^n, d(n) the divisor count.
     """
-    d = [0] * (order + 1)
-    for k in range(1, order + 1):
-        d[k::k] = [x + 1 for x in d[k::k]]
-    return partition_gen(order) * IntSeries._trusted(d)
+    return partition_gen(order) * IntSeries._trusted(_divisor_counts(order))
 
 
 # ----------------------------------------------------------------------

@@ -208,7 +208,9 @@ class IntSeries:
 
 
 def one(order: int) -> IntSeries:
-    return IntSeries([1] + [0] * order)
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    return IntSeries._trusted([1] + [0] * order)
 
 
 def poch(sign: int, a: int, step: int, count: int | None, order: int) -> IntSeries:

@@ -114,7 +114,7 @@ def double_sum_chern(order):
     """sum_{n>=1} n / (q;q)_{n-1} * sum_{m>=1} q^{m(n+1)} (-q;q)_{m-1}, summed n by n.
 
     Each inner sum is multiplied by the prefix 1/(q;q)_{n-1} as a dense
-    product: the reference for the Horner-form builder.
+    product: a reference for the sigma_star route of the builder.
     """
     total = [0] * (order + 1)
     qn = [1] + [0] * order  # 1/(q;q)_{n-1}, starts at n = 1
@@ -245,7 +245,7 @@ def old_horner_sigma_d_maex(order):
 
 
 def old_runs_chern(order):
-    """The runs-above-the-gap loop chern-sigma-maex had before the kernel.
+    """The runs-above-the-gap loop chern-sigma-maex had before the sigma_star route.
 
     acc <- (acc + P_L) / (1 - q^L) from L = order down, P_L added term
     by term from its untelescoped form sum_{k<L} k (1 - q^k) q^{T(L)-T(k)}.
@@ -438,10 +438,10 @@ class TestDistinctFamilies:
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=120))
-    def test_chern_horner_matches_double_sum(self, order):
+    def test_chern_sigma_star_route_matches_double_sum(self, order):
         assert chern_sigma_maex_series(order).coefficients() == double_sum_chern(order)
 
-    def test_chern_runs_match_old_horner(self):
+    def test_chern_sigma_star_route_matches_old_horner(self):
         clear_cache()
         assert chern_sigma_maex_series(600).coefficients() == horner_chern(600)
 
@@ -454,7 +454,7 @@ class TestDistinctFamilies:
         clear_cache()
         assert sigma_L_series(order).coefficients() == partial_sum_sigma_l(order)
 
-    def test_maex_routes_match_old_loops(self):
+    def test_maex_routes_match_old_horner_and_runs_loops(self):
         clear_cache()
         assert sigma_d_maex_series(1500).coefficients() == old_horner_sigma_d_maex(1500)
         assert chern_sigma_maex_series(1500).coefficients() == old_runs_chern(1500)
