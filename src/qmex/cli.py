@@ -130,7 +130,7 @@ def _cmd_tauberian(args: argparse.Namespace) -> int:
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
-    s = refined_series(RefinedKind(args.kind), args.index, args.order)
+    s = refined_series(args.order, RefinedKind(args.kind), args.index)
     named = NamedSeries(f"refined-{args.kind}-{args.index}", Form.CANONICAL, s)
     _emit_series(named, args.format)
     return 0

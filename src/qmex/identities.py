@@ -324,12 +324,12 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             for c in (
                 OraclePair(
                     f"dcount-{i}-vs-mex-gt",
-                    (lambda i: lambda o: dcount_series(i, o))(i),
+                    (lambda i: lambda o: dcount_series(o, i))(i),
                     (lambda i: lambda n: refined_count_oracle(CountKind.MEX_GT, i, n, True))(i),
                 ),
                 OraclePair(
                     f"dcount-{i}-vs-shifted-smallest-gt",
-                    (lambda i: lambda o: dcount_series(i, o))(i),
+                    (lambda i: lambda o: dcount_series(o, i))(i),
                     _shifted_smallest_gt(i),
                 ),
             )
@@ -342,7 +342,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         *[
             OraclePair(
                 f"slice-{m}-vs-enumeration",
-                (lambda m: lambda o: refined_series(RefinedKind.MEX, m, o))(m),
+                (lambda m: lambda o: refined_series(o, RefinedKind.MEX, m))(m),
                 (lambda m: lambda n: refined_count_oracle(CountKind.MEX_EQ, m, n, True))(m),
             )
             for m in (1, 2, 3)

@@ -26,8 +26,9 @@ factor most builders end with, is (q^2;q^2)_inf times it, the
 largest-part sum is it times the divisor-count series, and the maex sum
 over all partitions it times that plus sigma_star / 2 (Chern, 2021).
 
-Every builder is served from one store: the longest series built per
-key serves each lower order by slicing. clear_cache() empties it, and
+Every builder takes the order first, f(order, *key), and is served from
+one store: the longest series built per key serves each lower order by
+slicing. clear_cache() empties it, and
 each builder's cache_info() counts its hits and misses. An order above
 MAX_ORDER raises ValueError before the store is read.
 
@@ -41,7 +42,6 @@ partitions.
 from __future__ import annotations
 
 import enum
-import inspect
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import wraps
@@ -92,15 +92,15 @@ MAX_ORDER = 8000
 # Calls of one builder served from the store (hits) and built (misses).
 CacheInfo = namedtuple("CacheInfo", "hits misses")
 
-# The longest series built so far per (builder, arguments other than order).
+# The longest series built so far per (builder, positional arguments after order).
 _STORE: dict[tuple, IntSeries] = {}
 _COUNTS: dict[str, list[int]] = {}  # builder -> [hits, misses]
 # Catalogued name -> (builder, forms); no forms means no form parameter.
 _CATALOGUE: dict[str, tuple[Callable[..., IntSeries], tuple[Form, ...]]] = {}
 
 
-def _bad_form(name: str, form: Form) -> ValueError:
-    return ValueError(f"{name} has no form {form.value!r}")
+def _bad_form(name: str, form) -> ValueError:
+    return ValueError(f"{name} has no form {getattr(form, 'value', form)!r}")
 
 
 def _check_order(order: int) -> None:
@@ -110,32 +110,31 @@ def _check_order(order: int) -> None:
 
 
 def _builder(name: str | None = None, forms: tuple[Form, ...] = ()):
-    """Serve a series builder from _STORE and catalogue it under name.
+    """Serve a builder f(order, *key) from _STORE and catalogue it under name.
 
-    An order outside 0..MAX_ORDER or a form outside forms raises before
-    the store is read. A call at the stored order returns the stored
-    series itself, a lower order a slice of it, and a higher order
-    builds and replaces it.
+    The store keys on fn's name and the positional arguments after
+    order, or fn's defaults when none are passed. An order outside
+    0..MAX_ORDER or a form (the first of those arguments) outside forms
+    raises before the store is read. A call at the stored order returns
+    the stored series itself, a lower order a slice of it, and a higher
+    order builds and replaces it.
     """
 
     def decorate(fn: Callable[..., IntSeries]) -> Callable[..., IntSeries]:
-        sig = inspect.signature(fn)
+        defaults = fn.__defaults__ or ()
         counts = _COUNTS[fn.__name__] = [0, 0]
 
         @wraps(fn)
-        def builder(*args, **kwargs) -> IntSeries:
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            params = bound.arguments
-            order = params.pop("order")
+        def builder(order: int, *args) -> IntSeries:
+            args = args or defaults
             _check_order(order)
-            if forms and params["form"] not in forms:
-                raise _bad_form(name, params["form"])
-            key = (fn.__name__, *params.values())
+            if forms and args[0] not in forms:
+                raise _bad_form(name, args[0])
+            key = (fn.__name__, *args)
             stored = _STORE.get(key)
             if stored is None or stored.order < order:
                 counts[1] += 1
-                stored = _STORE[key] = fn(*args, **kwargs)
+                stored = _STORE[key] = fn(order, *args)
             else:
                 counts[0] += 1
             return stored if stored.order == order else IntSeries._trusted(stored.coefficients()[: order + 1])
@@ -473,7 +472,7 @@ def _slice(kind: RefinedKind | None, index: int, order: int) -> IntSeries:
 
 
 @_builder()
-def refined_series(kind: RefinedKind, index: int, order: int) -> IntSeries:
+def refined_series(order: int, kind: RefinedKind, index: int) -> IntSeries:
     """Distinct-part partitions refined by the value of one statistic.
 
     MEX m>=1   partitions with mex exactly m:
@@ -497,7 +496,7 @@ def refined_series(kind: RefinedKind, index: int, order: int) -> IntSeries:
 
 
 @_builder()
-def dcount_series(i: int, order: int) -> IntSeries:
+def dcount_series(order: int, i: int) -> IntSeries:
     """Distinct-part partitions whose mex exceeds i: q^{i(i+1)/2} (-q^{i+1};q)_inf.
 
     Equivalently (by removing a staircase) distinct-part partitions of

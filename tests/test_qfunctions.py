@@ -7,6 +7,11 @@ either side shows up as a disagreement rather than a stale constant.
 
 import hashlib
 import inspect
+import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import chain, count
 
@@ -595,11 +600,11 @@ class TestTruncationEdges:
 
 class TestRefined:
     def test_mex_slice_example(self):
-        assert refined_series(RefinedKind.MEX, 1, 5).coefficients() == (1, 0, 1, 1, 1, 2)
+        assert refined_series(5, RefinedKind.MEX, 1).coefficients() == (1, 0, 1, 1, 1, 2)
 
     def test_slices_match_enumeration(self):
         for m in (1, 2, 3):
-            s = refined_series(RefinedKind.MEX, m, 18)
+            s = refined_series(18, RefinedKind.MEX, m)
             for n in range(19):
                 assert s.coefficient(n) == refined_count_oracle(CountKind.MEX_EQ, m, n, True)
 
@@ -607,7 +612,7 @@ class TestRefined:
         from qmex.partitions import enum_partitions, mex
 
         for k in (0, 1, 2):
-            s = refined_series(RefinedKind.OMEX, k, 18)
+            s = refined_series(18, RefinedKind.OMEX, k)
             for n in range(19):
                 want = sum(1 for p in enum_partitions(n, True) if mex(p) == 2 * k + 1)
                 assert s.coefficient(n) == want
@@ -616,7 +621,7 @@ class TestRefined:
         from qmex.partitions import enum_partitions, moex
 
         for k in (0, 1, 2):
-            s = refined_series(RefinedKind.MOEX, k, 18)
+            s = refined_series(18, RefinedKind.MOEX, k)
             for n in range(19):
                 want = sum(1 for p in enum_partitions(n, True) if moex(p) == 2 * k + 1)
                 assert s.coefficient(n) == want
@@ -625,7 +630,7 @@ class TestRefined:
         from qmex.partitions import enum_partitions, maex
 
         for k in (1, 2, 3):
-            s = refined_series(RefinedKind.MAEX, k, 18)
+            s = refined_series(18, RefinedKind.MAEX, k)
             for n in range(19):
                 want = sum(1 for p in enum_partitions(n, True) if maex(p) == k)
                 assert s.coefficient(n) == want
@@ -634,36 +639,36 @@ class TestRefined:
         ks = []
         for k, low, body in qfunctions._slices(RefinedKind.MAEX, 60):
             ks.append(k)
-            assert IntSeries([0] * low + body) == refined_series(RefinedKind.MAEX, k, 60)
+            assert IntSeries([0] * low + body) == refined_series(60, RefinedKind.MAEX, k)
         assert ks == list(range(1, 60))
         # the stream stops where the slices vanish
-        assert not any(refined_series(RefinedKind.MAEX, 60, 60).coefficients())
+        assert not any(refined_series(60, RefinedKind.MAEX, 60).coefficients())
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
-            refined_series(RefinedKind.MEX, 0, 5)
+            refined_series(5, RefinedKind.MEX, 0)
         with pytest.raises(ValueError):
-            refined_series(RefinedKind.MAEX, 0, 5)
+            refined_series(5, RefinedKind.MAEX, 0)
         with pytest.raises(ValueError):
-            refined_series(RefinedKind.OMEX, -1, 5)
+            refined_series(5, RefinedKind.OMEX, -1)
         with pytest.raises(ValueError):
-            refined_series(RefinedKind.MOEX, -1, 5)
+            refined_series(5, RefinedKind.MOEX, -1)
 
     def test_slice_beyond_order_is_zero(self):
-        assert all(c == 0 for c in refined_series(RefinedKind.MEX, 6, 10).coefficients())
+        assert all(c == 0 for c in refined_series(10, RefinedKind.MEX, 6).coefficients())
 
     def test_dcount_matches_mex_gt(self):
         for i in (0, 1, 2, 3):
-            s = dcount_series(i, 20)
+            s = dcount_series(20, i)
             for n in range(21):
                 assert s.coefficient(n) == refined_count_oracle(CountKind.MEX_GT, i, n, True)
 
     def test_dcount_zero_is_distinct_gen(self):
-        assert dcount_series(0, 30) == distinct_gen(30)
+        assert dcount_series(30, 0) == distinct_gen(30)
 
 
 def _slice_of(kind, k, order):
-    return dcount_series(k, order) if kind is None else refined_series(kind, k, order)
+    return dcount_series(order, k) if kind is None else refined_series(order, kind, k)
 
 
 class TestSliceStream:
@@ -774,15 +779,15 @@ def test_route_coefficients_pinned(name, form):
     assert digest == ROUTE_SHA256[(name, form)]
 
 
-# (builder, keyword arguments other than order) for every route the store
+# (builder, positional arguments after order) for every route the store
 # serves: each catalogued (name, form), slices of every refined family, and
 # dcount_series.
 STORE_ROUTES = [
-    (builder, {"form": form} if forms else {})
+    (builder, (form,) if forms else ())
     for builder, forms in (qfunctions._CATALOGUE[name] for name in available_series())
     for form in (forms or (None,))
 ] + [
-    (refined_series, {"kind": kind, "index": index})
+    (refined_series, (kind, index))
     for kind, indices in (
         (RefinedKind.MEX, (1, 4)),
         (RefinedKind.OMEX, (0, 2)),
@@ -790,7 +795,10 @@ STORE_ROUTES = [
         (RefinedKind.MAEX, (1, 5)),
     )
     for index in indices
-] + [(dcount_series, {"i": i}) for i in (0, 3)] + [(partition_gen, {})]
+] + [(dcount_series, (i,)) for i in (0, 3)] + [(partition_gen, ())]
+
+# Every function the store serves: the catalogue and the three builders it leaves out.
+STORE_BUILDERS = {builder for builder, _ in STORE_ROUTES}
 
 
 class _NoAccess(dict):
@@ -814,15 +822,15 @@ class TestStore:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=80), st.integers(min_value=0, max_value=40))
     def test_prefix_served_from_larger_build_equals_cold_build(self, n, extra):
-        for builder, kwargs in STORE_ROUTES:
+        for builder, key in STORE_ROUTES:
             clear_cache()
-            cold = builder(order=n, **kwargs)
+            cold = builder(n, *key)
             clear_cache()
-            built = builder(order=n + extra, **kwargs)
+            built = builder(n + extra, *key)
             misses = builder.cache_info().misses
-            served = builder(order=n, **kwargs)
+            served = builder(n, *key)
             assert builder.cache_info().misses == misses, builder.__name__
-            assert served == cold and served.order == n, (builder.__name__, kwargs)
+            assert served == cold and served.order == n, (builder.__name__, key)
             if extra == 0:
                 assert served is built
 
@@ -832,8 +840,9 @@ class TestStore:
         first = builder(20)
         assert builder(20, Form.CANONICAL) is first
         assert builder(order=20) is first
-        assert builder(order=20, form=Form.CANONICAL) is first
-        assert builder.cache_info() == (3, 1)
+        assert builder.cache_info() == (2, 1)
+        with pytest.raises(TypeError):  # the arguments after order are positional only
+            builder(20, form=Form.CANONICAL)
 
     def test_clear_cache_zeroes_counts(self):
         sigma_series(5)
@@ -846,14 +855,16 @@ class TestStore:
         [
             lambda: sigma_series(10, Form.ALT2),
             lambda: sigma_d_mex_series(10, Form.ALT2),
-            lambda: a_d_series(10, form=Form.ALT2),
+            lambda: a_d_series(10, Form.ALT2),
             lambda: sigma_series(-1),
             lambda: sigma_d_moex_series(-1, Form.ALT2),
             lambda: distinct_gen(order=-1),
-            lambda: refined_series(RefinedKind.MEX, 1, -1),
-            lambda: dcount_series(0, -1),
+            lambda: refined_series(-1, RefinedKind.MEX, 1),
+            lambda: dcount_series(-1, 0),
             lambda: build_named("sigma", 10, Form.ALT2),
             lambda: build_named("distinct", 10, Form.ALT1),
+            lambda: sigma_series(5, "alt1"),
+            lambda: build_named("sigma", 5, "alt1"),
         ],
     )
     def test_bad_input_raises_before_the_store(self, monkeypatch, call):
@@ -862,8 +873,49 @@ class TestStore:
             call()
 
     def test_catalogue_entries_are_the_module_builders(self):
-        # a tracer that rebinds a builder must reach both references
-        for name in available_series():
-            builder, _ = qfunctions._CATALOGUE[name]
+        # a tracer that rebinds a builder must reach both references, bind
+        # order through __wrapped__ and read the store's counts
+        assert {builder.__name__ for builder in STORE_BUILDERS} == set(qfunctions._COUNTS)
+        for builder in STORE_BUILDERS:
             assert getattr(qfunctions, builder.__name__) is builder
             assert next(iter(inspect.signature(builder).parameters)) == "order"
+            assert hasattr(builder, "cache_info") and hasattr(builder, "__wrapped__")
+
+
+# Installs the benchmark's tracer in a fresh interpreter (it rebinds qmex's
+# module globals for good) and makes one positional call per builder shape.
+_TRACED_CALLS = """
+import json, tracing
+from qmex import qfunctions as Q
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+calls = {
+    "refined_series": lambda: Q.refined_series(12, Q.RefinedKind.MEX, 2),
+    "dcount_series": lambda: Q.dcount_series(12, 1),
+    "sigma_series": lambda: Q.sigma_series(12, Q.Form.ALT1),
+}
+first = {}
+for name, call in calls.items():
+    n = len(tracer.spans)
+    call()
+    span = tracer.spans[n] if len(tracer.spans) > n else [None] * 5
+    first[name] = [span[0], span[3]]  # span name, parent (-1 at top level)
+routes = sorted(k for k in tracer.raw() if k.startswith("route:"))
+print(json.dumps({"absent": sorted(tracer.absent), "first": first, "routes": routes}))
+"""
+
+
+def test_tracer_wraps_every_builder():
+    src = pathlib.Path(qfunctions.__file__).parents[1]
+    perfbench = pathlib.Path(__file__).parents[1] / "perfbench"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (src, perfbench))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_CALLS], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
+    got = json.loads(proc.stdout)
+    assert got["absent"] == []
+    # each call opens a top-level build span
+    top_level_build = ["qfunctions.build", -1]
+    assert got["first"] == dict.fromkeys(("refined_series", "dcount_series", "sigma_series"), top_level_build)
+    assert "route:sigma.alt1" in got["routes"]
