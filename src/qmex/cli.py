@@ -24,7 +24,7 @@ from .asymptotics import (
     hrr_sigma_mex,
     tauberian_ratio,
 )
-from .identities import Comparison, Status, registry, verify
+from .identities import Status, registry, verify_each
 from .partitions import StatKind, stat_sum_oracle
 from .qfunctions import Form, NamedSeries, RefinedKind, available_series, build_named, refined_series
 
@@ -96,11 +96,8 @@ def _report_line(report) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    reports = [
-        verify(d.name, args.order if d.comparison is Comparison.SERIES_SERIES else args.oracle_max)
-        for d in registry()
-        if args.all or d.name == args.identity
-    ]
+    names = [d.name for d in registry()] if args.all else [args.identity]
+    reports = verify_each(names, args.order, args.oracle_max)
     for report in reports:
         print(_report_line(report))
     return 0 if all(r.status is Status.PASS for r in reports) else 1

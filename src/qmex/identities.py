@@ -11,14 +11,19 @@ index.
 Beyond the registry there are three scan-style checks (monotonicity,
 parity, positivity) whose statements quantify over a coefficient range
 rather than equating two series.
+
+Every verdict takes one path: a bad range is refused before any work
+(verify_each refuses before it verifies any entry), and the first row
+(n, got, want, label, holds) that does not hold is the Mismatch.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Optional, Union
+from itertools import chain, combinations, count, filterfalse, repeat
+from operator import attrgetter, eq, ge, itemgetter, lt
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .partitions import (
     CountKind,
@@ -124,6 +129,33 @@ class VerificationReport:
 
 
 # ----------------------------------------------------------------------
+# the one verdict path
+
+_Row = tuple[int, int, int, str, bool]  # (n, got, want, check label, whether it holds)
+
+
+def _upto(series: IntSeries, rng: int) -> tuple[int, ...]:
+    """Coefficients 0..rng of series; IndexError if it stops short, so no zip truncates it."""
+    series.coefficient(rng)
+    return series.coefficients()[: rng + 1]
+
+
+def _rows(ns: Iterable[int], got: Sequence[int], want: Sequence[int], label: str, holds=eq) -> Iterator[_Row]:
+    """Row i is (ns[i], got[i], want[i], label, holds(got[i], want[i])), to the shortest input."""
+    return zip(ns, got, want, repeat(label), map(holds, got, want))  # zip and map: the compare runs in C
+
+
+def _first_failure(rows: Iterable[_Row]) -> Optional[Mismatch]:
+    """The first row that does not hold, as a Mismatch; None if all hold."""
+    row = next(filterfalse(itemgetter(4), rows), None)
+    return None if row is None else Mismatch(*row[:4])
+
+
+def _report(name: str, rng: int, first: Optional[Mismatch], note: Optional[str] = None) -> VerificationReport:
+    return VerificationReport(name, rng, Status.PASS if first is None else Status.FAIL, first, note)
+
+
+# ----------------------------------------------------------------------
 # builders used by more than one entry
 
 
@@ -131,15 +163,17 @@ def _sliced(kind: Optional[RefinedKind], weight: Callable[[int], int]) -> Series
     """sum_k weight(k) * slice k of a family (None: the mex > i tails of dcount_series).
 
     Every slice nonzero at the order comes from the running quotients of
-    qfunctions._slices and is added into one list: a route apart from
-    the aggregate builders, which sum q-series terms and multiply.
+    qfunctions._slices and, unless its weight is 0, is added into one
+    list: a route apart from the aggregate builders, which sum q-series
+    terms and multiply.
     """
 
     def build(order: int) -> IntSeries:
         total = [0] * (order + 1)
         for k, low, body in _slices(kind, order):
             w = weight(k)
-            total[low:] = [t + w * v for t, v in zip(total[low:], body)]
+            if w:
+                total[low:] = [t + w * v for t, v in zip(total[low:], body)]
         return IntSeries(total)
 
     return build
@@ -152,13 +186,7 @@ def _route(name: str, form: Form) -> SeriesBuilder:
 
 def _shifted_smallest_gt(i: int) -> Oracle:
     t = i * (i + 1) // 2  # the staircase 1 + 2 + ... + i, where dcount slice i starts
-
-    def oracle(n: int) -> int:
-        if n < t:
-            return 0
-        return refined_count_oracle(CountKind.SMALLEST_GT, i, n - t, True)
-
-    return oracle
+    return lambda n: refined_count_oracle(CountKind.SMALLEST_GT, i, n - t, True) if n >= t else 0
 
 
 def _odd_mex_count_all(n: int) -> int:
@@ -219,16 +247,8 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
     ss(
         "euler-identity",
         "(-q;q)_inf (q;q^2)_inf = 1, equivalently distinct = 1/odd-parts",
-        SeriesPair(
-            "product-is-one",
-            lambda o: poch(1, 1, 1, INFINITE, o) * poch(-1, 1, 2, INFINITE, o),
-            one,
-        ),
-        SeriesPair(
-            "distinct-vs-inverted-odd",
-            distinct_gen,
-            lambda o: poch(-1, 1, 2, INFINITE, o).invert(),
-        ),
+        SeriesPair("product-is-one", lambda o: poch(1, 1, 1, INFINITE, o) * poch(-1, 1, 2, INFINITE, o), one),
+        SeriesPair("distinct-vs-inverted-odd", distinct_gen, lambda o: poch(-1, 1, 2, INFINITE, o).invert()),
     )
     ss(
         "d-i-sum",
@@ -248,7 +268,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
     ss(
         "refined-omex-sum",
         "sum_k [distinct partitions with mex = 2k+1] = odd-mex count over distinct",
-        SeriesPair("omex-slices", _sliced(RefinedKind.OMEX, lambda k: 1), a_d_series),
+        SeriesPair("omex-slices", _sliced(RefinedKind.MEX, lambda m: m % 2), a_d_series),
     )
     ss(
         "refined-moex-weighted-sum",
@@ -309,8 +329,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
     )
     so(
         "a-series-oracle-gate",
-        "[q^n] odd-mex series over all partitions = count of partitions of n "
-        "with odd mex",
+        "[q^n] odd-mex series over all partitions = count of partitions of n with odd mex",
         enumerated(a_series, _odd_mex_count_all),
         rng=35,
     )
@@ -369,51 +388,64 @@ def verify(name: str, order_or_nmax: Optional[int] = None) -> VerificationReport
     maximal n for oracle entries; None picks the entry's default.
     Unknown names raise KeyError.
     """
-    try:
-        desc = _BY_NAME[name]
-    except KeyError:
-        raise KeyError(f"no identity named {name!r}") from None
-    return verify_descriptor(desc, order_or_nmax)
+    return verify_descriptor(_BY_NAME[name], order_or_nmax)
 
 
-def verify_descriptor(
-    desc: IdentityDescriptor, order_or_nmax: Optional[int] = None
-) -> VerificationReport:
-    """Run every check of a descriptor; FAIL carries the smallest bad n.
+def verify_each(
+    names: Iterable[str], order: Optional[int] = None, oracle_max: Optional[int] = None
+) -> list[VerificationReport]:
+    """verify() each named identity at order (series-series) or oracle_max (oracle).
 
-    A series-series order above MAX_ORDER raises ValueError before any
-    series is built. Every oracle is evaluated at the top of the range
-    first, so a range beyond the enumeration budget raises ValueError
-    before any series is built or any smaller n is enumerated.
+    The range of every entry (None: its default) is checked by _range before any is verified.
+    """
+    descs = [_BY_NAME[name] for name in names]
+    ranges = [_range(d, order if d.comparison is _SS else oracle_max) for d in descs]
+    return [verify(d.name, rng) for d, rng in zip(descs, ranges)]
+
+
+def _range(desc: IdentityDescriptor, order_or_nmax: Optional[int]) -> int:
+    """The range to verify desc over (None: its default), refused before any series is built.
+
+    A negative range or a series-series order above MAX_ORDER raises
+    ValueError. Every oracle is evaluated at the top of the range, so a
+    range past the enumeration budget raises before any smaller n is walked.
     """
     rng = desc.default_range if order_or_nmax is None else order_or_nmax
     if rng < 0:
         raise ValueError("verification range must be non-negative")
-    if desc.comparison is Comparison.SERIES_SERIES:
+    if desc.comparison is _SS:
         _check_order(rng)
     for check in desc.checks:
         if isinstance(check, OraclePair):
             check.oracle(rng)
-    worst: Optional[Mismatch] = None
+    return rng
+
+
+def verify_descriptor(desc: IdentityDescriptor, order_or_nmax: Optional[int] = None) -> VerificationReport:
+    """Run every check of a descriptor over its _range; FAIL carries the smallest bad n.
+
+    Of two checks that fail at the same n, the first registered is reported.
+    """
+    rng = _range(desc, order_or_nmax)
+    firsts = []
     for check in desc.checks:
         if isinstance(check, SeriesPair):
-            lhs = check.lhs(rng)
-            rhs = check.rhs(rng).coefficient
+            got, want = _upto(check.lhs(rng), rng), _upto(check.rhs(rng), rng)
         else:
-            lhs = check.series(rng)
-            rhs = check.oracle
-        for n in range(rng + 1):
-            a, b = lhs.coefficient(n), rhs(n)
-            if a != b:
-                if worst is None or n < worst.n:
-                    worst = Mismatch(n, a, b, check.label)
-                break
-    status = Status.PASS if worst is None else Status.FAIL
-    return VerificationReport(desc.name, rng, status, worst)
+            got, want = _upto(check.series(rng), rng), [check.oracle(n) for n in range(rng + 1)]
+        firsts.append(_first_failure(_rows(count(), got, want, check.label)))
+    return _report(desc.name, rng, min(filter(None, firsts), key=attrgetter("n"), default=None))
 
 
 # ----------------------------------------------------------------------
 # scan-style checks
+
+
+def _check_scan(name: str, nmax: int, least: int) -> None:
+    """Refuse a scan range below least or above MAX_ORDER before any work."""
+    if nmax < least:
+        raise ValueError(f"{name} scan needs nmax >= {least}")
+    _check_order(nmax)
 
 
 def monotonicity_check(nmax: int) -> VerificationReport:
@@ -423,23 +455,11 @@ def monotonicity_check(nmax: int) -> VerificationReport:
     increasing afterwards; the flat step is recorded as a note, the
     strict part is the checked claim.
     """
-    if nmax < 8:
-        raise ValueError("monotonicity scan needs nmax >= 8")
-    s = sigma_d_mex_series(nmax)
-    note = None
-    if s.coefficient(6) == s.coefficient(7):
-        note = f"boundary equality at 6 -> 7 (both {s.coefficient(6)})"
-    for n in range(7, nmax):
-        a, b = s.coefficient(n), s.coefficient(n + 1)
-        if not b > a:
-            return VerificationReport(
-                "monotonicity",
-                nmax,
-                Status.FAIL,
-                Mismatch(n, a, b, "strict-increase"),
-                note,
-            )
-    return VerificationReport("monotonicity", nmax, Status.PASS, None, note)
+    _check_scan("monotonicity", nmax, 8)
+    s = _upto(sigma_d_mex_series(nmax), nmax)
+    note = f"boundary equality at 6 -> 7 (both {s[6]})" if s[6] == s[7] else None
+    first = _first_failure(_rows(count(7), s[7:], s[8:], "strict-increase", lt))
+    return _report("monotonicity", nmax, first, note)
 
 
 def parity_check(nmax: int) -> VerificationReport:
@@ -451,49 +471,26 @@ def parity_check(nmax: int) -> VerificationReport:
     gated against the enumeration oracle up to n = 35 before the
     pattern is trusted.
     """
-    if nmax < 1:
-        raise ValueError("parity scan needs nmax >= 1")
+    _check_scan("parity", nmax, 1)
     gate = min(nmax, 35)
-    _odd_mex_count_all(gate)  # the top first: one census walk serves the whole gate
-    a = a_series(nmax)
-    for n in range(gate + 1):
-        got, want = a.coefficient(n), _odd_mex_count_all(n)
-        if got != want:
-            return VerificationReport(
-                "parity", nmax, Status.FAIL, Mismatch(n, got, want, "oracle-gate")
-            )
+    gated = [_odd_mex_count_all(n) for n in range(gate, -1, -1)][::-1]  # top first: one walk
+    a = _upto(a_series(nmax), nmax)
     special = {2 * g for g, _ in _pentagonal(nmax // 2)}
-    smex = sigma_mex_series(nmax)
-    for n in range(1, nmax + 1):
-        odd = a.coefficient(n) % 2
-        want = 1 if n in special else 0
-        if odd != want:
-            return VerificationReport(
-                "parity", nmax, Status.FAIL, Mismatch(n, odd, want, "odd-iff-pentagonal-pair")
-            )
-        if smex.coefficient(n) % 2 != odd:
-            return VerificationReport(
-                "parity",
-                nmax,
-                Status.FAIL,
-                Mismatch(n, smex.coefficient(n) % 2, odd, "mex-sum-parity"),
-            )
-    return VerificationReport("parity", nmax, Status.PASS, None, f"oracle gate to {gate}")
+    odd, pentagonal = [c % 2 for c in a[1:]], [int(n in special) for n in range(1, nmax + 1)]
+    mex_sum = [c % 2 for c in _upto(sigma_mex_series(nmax), nmax)[1:]]
+    # the gate, then from n = 1 on the pentagonal pattern before the mex-sum parity at each n
+    pattern = _rows(count(1), odd, pentagonal, "odd-iff-pentagonal-pair")
+    parity = _rows(count(1), mex_sum, odd, "mex-sum-parity")
+    rows = chain(_rows(count(), a, gated, "oracle-gate"), chain.from_iterable(zip(pattern, parity)))
+    first = _first_failure(rows)
+    return _report("parity", nmax, first, None if first else f"oracle gate to {gate}")
 
 
 def positivity_check(nmax: int) -> VerificationReport:
     """The odd-mex count over distinct partitions vanishes only at n = 1."""
-    if nmax < 2:
-        raise ValueError("positivity scan needs nmax >= 2")
-    s = a_d_series(nmax)
-    if s.coefficient(1) != 0:
-        return VerificationReport(
-            "positivity", nmax, Status.FAIL, Mismatch(1, s.coefficient(1), 0, "zero-at-one")
-        )
-    for n in (0, *range(2, nmax + 1)):
-        v = s.coefficient(n)
-        if v <= 0:
-            return VerificationReport(
-                "positivity", nmax, Status.FAIL, Mismatch(n, v, 1, "strictly-positive")
-            )
-    return VerificationReport("positivity", nmax, Status.PASS)
+    _check_scan("positivity", nmax, 2)
+    s = _upto(a_d_series(nmax), nmax)
+    zero = _rows((1,), s[1:2], (0,), "zero-at-one")
+    rest = (s[0], *s[2:])  # every n but 1
+    positive = _rows((0, *range(2, nmax + 1)), rest, (1,) * nmax, "strictly-positive", ge)
+    return _report("positivity", nmax, _first_failure(chain(zero, positive)))

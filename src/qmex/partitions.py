@@ -316,8 +316,12 @@ def _distinct_census(n: int) -> _Census:
 
 # The censuses walked so far. All parts keep the census of every n up to
 # that of the longest walk, which serves every lower n, as the series
-# store does; distinct parts keep one census per n.
+# store does.
 _ALL_PARTS: list[_Census] = []
+# Distinct parts keep one census per n. One packed walk over a range
+# tallies 526,385 sets at n = 82 against 92,864: a lone census there took
+# 3.4-4.3 s and 183 MB against 0.2-0.35 s and 25 MB (fresh processes,
+# 2-core x86-64 VM, Python 3.11), and the range up to 40 gained nothing.
 _DISTINCT: dict[int, _Census] = {}
 
 

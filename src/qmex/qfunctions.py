@@ -407,7 +407,6 @@ def chern_sigma_maex_series(order: int) -> IntSeries:
 # the family of dcount_series: distinct-part partitions with mex > i.
 _FAMILIES: dict[RefinedKind | None, tuple[int, Callable[[int], int]]] = {
     RefinedKind.MEX: (1, lambda m: m * (m - 1) // 2),
-    RefinedKind.OMEX: (0, lambda k: k * (2 * k + 1)),
     RefinedKind.MOEX: (0, lambda k: k * k),
     RefinedKind.MAEX: (1, lambda k: k + 1),
     None: (0, lambda i: i * (i + 1) // 2),
@@ -423,19 +422,18 @@ def _slices(
     coefficients 0..order - low. One running list, cut to the length the
     next slice needs, steps from each slice to the next:
 
-    MEX, OMEX, None  tail (-q^{m+1};q)_inf, m = k (OMEX: 2k+1): distinct_gen
-                     divided by (1 + q^m), one step per m
-    MOEX             (-q;q)_inf / (-q;q^2)_{k+1}: divided by (1 + q^{2k+1})
-    MAEX             prefix (-q;q)_{k-1}: times (1 + q^{k-1}), then added
-                     at each exponent of T_k
+    MEX, None  tail (-q^{k+1};q)_inf: distinct_gen divided by (1 + q^k)
+    MOEX       (-q;q)_inf / (-q;q^2)_{k+1}: divided by (1 + q^{2k+1})
+    MAEX       prefix (-q;q)_{k-1}: times (1 + q^{k-1}), then added at
+               each exponent of T_k
 
-    Below start the list only steps. A body may be the running list
-    itself, so read it before the next item.
+    OMEX has no stream: its slice k is MEX slice 2k+1. Below start the
+    list only steps. A body may be the running list itself, so read it
+    before the next item.
     """
     first, lowest = _FAMILIES[kind]
     maex = kind is RefinedKind.MAEX
     run = [1] + [0] * order if maex else list(distinct_gen(order).coefficients())
-    m = 0
     for k in count(first):
         low = lowest(k)
         if low > order:
@@ -446,9 +444,8 @@ def _slices(
                 _mul_binomial_inplace(run, 1, k - 1)
         elif kind is RefinedKind.MOEX:
             _div_binomial_inplace(run, 1, 2 * k + 1)
-        else:
-            for m in range(m + 1, 2 * k + 2 if kind is RefinedKind.OMEX else k + 1):
-                _div_binomial_inplace(run, 1, m)
+        elif k:
+            _div_binomial_inplace(run, 1, k)
         if k < start:
             continue
         body = run
@@ -484,14 +481,18 @@ def refined_series(order: int, kind: RefinedKind, index: int) -> IntSeries:
     MAEX k>=1  partitions with maximal excludant k:
                (-q;q)_{k-1} sum_{m>=1} q^{m(m+1)/2 + km}
 
-    Each slice is one lookup in the running quotients of _slices: a MEX
-    or OMEX tail is distinct_gen divided by one (1 + q^m) per m, O(order)
-    a step, and a slice starting past the order is zero without a step.
-    Weighted sums of the slices reproduce the aggregate series, which
-    the identity registry checks.
+    Each slice is one lookup in the running quotients of _slices (OMEX
+    slice k is MEX slice 2k+1): a MEX tail is distinct_gen divided by
+    one (1 + q^m) per m, O(order) a step, and a slice starting past the
+    order is zero without a step. Weighted sums of the slices reproduce
+    the aggregate series, which the identity registry checks.
     """
     if not isinstance(kind, RefinedKind):
         raise ValueError(f"unknown refined kind {kind!r}")
+    if kind is RefinedKind.OMEX:
+        if index < 0:
+            raise ValueError("omex slice index must be >= 0")
+        return _slice(RefinedKind.MEX, 2 * index + 1, order)
     return _slice(kind, index, order)
 
 

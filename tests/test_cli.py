@@ -304,6 +304,17 @@ class TestOrderCap:
             code, out = invoke(capsys, "verify", *argv, "--order", str(MAX_ORDER + 1))
             assert (code, out) == (2, ""), argv
 
+    def test_verify_all_checks_every_range_before_verifying_any(self, capsys, monkeypatch, no_build):
+        from qmex import partitions
+
+        def no_walk(*args):
+            raise AssertionError("census walked")
+
+        monkeypatch.setattr(partitions, "_walk", no_walk)
+        # --order 8000 is within the cap; --oracle-max 46 is over the all-parts budget
+        code, out = invoke(capsys, "verify", "--all", "--order", "8000", "--oracle-max", "46")
+        assert (code, out) == (2, "")
+
     def test_caps_leave_room_for_the_orders_in_use(self):
         from qmex.asymptotics import required_order
         from qmex.qfunctions import MAX_ORDER, sigma_star_series

@@ -17,8 +17,9 @@ from qmex.identities import (
     registry,
     verify,
     verify_descriptor,
+    verify_each,
 )
-from qmex import qfunctions
+from qmex import partitions, qfunctions
 from qmex.qfunctions import Form, sigma_d_mex_series
 from qmex.series import IntSeries
 
@@ -172,6 +173,37 @@ class TestHarnessDetectsPerturbations:
         assert report.first_mismatch.n == 3
         assert report.first_mismatch.check == "earlier"
 
+    def test_same_n_reports_the_first_registered_check(self):
+        def off_at_4(order):
+            c = list(sigma_d_mex_series(order).coefficients())
+            c[4] += 1
+            return IntSeries(c)
+
+        desc = IdentityDescriptor(
+            name="planted-tie",
+            comparison=Comparison.SERIES_SERIES,
+            checks=(
+                SeriesPair("registered-first", sigma_d_mex_series, off_at_4),
+                SeriesPair("registered-second", off_at_4, sigma_d_mex_series),
+            ),
+            default_range=20,
+            statement="both checks wrong at 4",
+        )
+        report = verify_descriptor(desc)
+        assert report.first_mismatch.n == 4
+        assert report.first_mismatch.check == "registered-first"
+
+    def test_short_route_is_an_error_not_a_pass(self):
+        desc = IdentityDescriptor(
+            name="planted-short-route",
+            comparison=Comparison.SERIES_SERIES,
+            checks=(SeriesPair("short", sigma_d_mex_series, lambda o: sigma_d_mex_series(o - 1)),),
+            default_range=20,
+            statement="rhs stops one coefficient short",
+        )
+        with pytest.raises(IndexError):
+            verify_descriptor(desc)
+
     def test_pass_on_exact_equality(self):
         desc = IdentityDescriptor(
             name="self-comparison",
@@ -217,6 +249,41 @@ class TestScans:
         assert report.passed, report
         with pytest.raises(ValueError):
             positivity_check(1)
+
+    @pytest.mark.parametrize("scan", [monotonicity_check, parity_check, positivity_check])
+    def test_order_above_the_cap_refused_before_any_work(self, monkeypatch, scan):
+        def no_work(*args):
+            raise AssertionError("work done")
+
+        monkeypatch.setattr(partitions, "_walk", no_work)
+        monkeypatch.setattr(qfunctions, "_nested_sum", no_work)
+        monkeypatch.setattr(qfunctions, "_euler_product", no_work)
+        with pytest.raises(ValueError, match="outside the supported range"):
+            scan(qfunctions.MAX_ORDER + 1)
+
+
+class TestVerifyEach:
+    def test_each_entry_gets_the_range_of_its_comparison(self):
+        reports = verify_each(["euler-identity", "a-d-oracle", "d-i-sum"], 50, 20)
+        assert [(r.name, r.range_checked, r.passed) for r in reports] == [
+            ("euler-identity", 50, True),
+            ("a-d-oracle", 20, True),
+            ("d-i-sum", 50, True),
+        ]
+
+    def test_defaults_when_no_range_is_given(self):
+        (report,) = verify_each(["a-d-oracle"])
+        assert report.range_checked == next(d for d in registry() if d.name == "a-d-oracle").default_range
+
+    def test_a_bad_range_refuses_before_any_entry_is_verified(self, monkeypatch):
+        def no_verify(*args):
+            raise AssertionError("verified")
+
+        monkeypatch.setattr(identities, "verify", no_verify)
+        with pytest.raises(ValueError, match="budget"):
+            verify_each(["euler-identity", "a-d-oracle"], 50, 300)
+        with pytest.raises(KeyError):
+            verify_each(["euler-identity", "not-an-identity"])
 
 
 

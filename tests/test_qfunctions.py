@@ -688,12 +688,13 @@ class TestSliceStream:
                 if not any(forms[k].coefficients()):
                     break
                 k += 1
-            items = []
-            for k, low, body in qfunctions._slices(kind, order):
-                assert len(body) == order + 1 - low and body[0] == 1  # low is the lowest exponent
-                assert IntSeries([0] * low + body) == forms[k], (kind, k)
-                items.append(k)
-            assert items == list(range(first, max(forms))), kind
+            if kind is not RefinedKind.OMEX:  # OMEX slice k is read from MEX slice 2k+1
+                items = []
+                for k, low, body in qfunctions._slices(kind, order):
+                    assert len(body) == order + 1 - low and body[0] == 1  # low is the lowest exponent
+                    assert IntSeries([0] * low + body) == forms[k], (kind, k)
+                    items.append(k)
+                assert items == list(range(first, max(forms))), kind
             assert all(_slice_of(kind, k, order) == forms[k] for k in forms)
         for name, (kind, weight) in SLICE_SUMS.items():
             (check,) = identities._BY_NAME[name].checks
