@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 from . import __version__
@@ -62,6 +60,8 @@ def _emit_series(named: NamedSeries, fmt: str, out=None, meta: Optional[dict] = 
         lines = [f"{n},{c}\n" for n, c in enumerate(named.series.coefficients())]
         out.write("n,value\n" + "".join(lines))
     else:
+        import json  # here, where JSON is written, not by import qmex.cli
+
         print(json.dumps(_record(named, meta), indent=2), file=out)
 
 
@@ -134,6 +134,8 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    from datetime import datetime, timezone  # only an exported file has a timestamp
+
     named = build_named(args.name, args.order, Form(args.form))
     meta = {"generated_at": datetime.now(timezone.utc).isoformat()}
     with open(args.out, "w", encoding="utf-8") as fh:

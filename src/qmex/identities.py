@@ -396,11 +396,21 @@ def verify_each(
 ) -> list[VerificationReport]:
     """verify() each named identity at order (series-series) or oracle_max (oracle).
 
-    The range of every entry (None: its default) is checked by _range before any is verified.
+    The range of every entry (None: its default) is checked by _range before any is verified:
+    series-series entries first, then oracle entries, each largest range first, so that the
+    census walked for the first oracle serves every lower n. The sort is stable, so entries
+    that share a range refuse in the order of names, and the reports keep that order.
     """
     descs = [_BY_NAME[name] for name in names]
-    ranges = [_range(d, order if d.comparison is _SS else oracle_max) for d in descs]
-    return [verify(d.name, rng) for d, rng in zip(descs, ranges)]
+    asked = [(d, order if d.comparison is _SS else oracle_max) for d in descs]
+
+    def rank(pair: tuple[IdentityDescriptor, Optional[int]]) -> tuple[bool, int]:
+        desc, rng = pair
+        return desc.comparison is not _SS, -(desc.default_range if rng is None else rng)
+
+    for desc, rng in sorted(asked, key=rank):
+        _range(desc, rng)
+    return [verify(desc.name, rng) for desc, rng in asked]
 
 
 def _range(desc: IdentityDescriptor, order_or_nmax: Optional[int]) -> int:

@@ -11,28 +11,31 @@ distinct parts. mex, moex and maex read such a tuple. Nothing in the
 package reads the stream; the tests build their reference counts on it.
 
 The census of n is the only path from partitions to an oracle value,
-and it does not go through that stream. A partition of n is a
-partition with no part 1 of weight n - j plus j ones, where j = 0 or
-1 for distinct parts; so p(n) - p(n-1) partitions of n have no part 1
+and it does not go through that stream. It holds one map per statistic
+(mex, moex, maex, the largest and the smallest part), each from a
+value to the number of partitions of n that take it; every sum and
+count an oracle gives is read off those maps. A partition of n is a
+partition with no part 1 of weight n - j plus j ones, where j = 0 or 1
+for distinct parts; so p(n) - p(n-1) partitions of n have no part 1
 (Andrews, The Theory of Partitions, 1976). One walk visits the
 partitions with no part 1 depth first by (part k, multiplicity j),
 parts in decreasing order, and tallies them by their set of parts S as
 an int bitmask. mex, moex, maex, the largest and the smallest part
-depend only on the set, so each is read once for S and once for S
-with part 1, with bit operations. For all parts the walk covers every
-weight up to n, each count an int with one slot per weight, and gives
-the census of every m <= n: the p(45) = 89134
-partitions with no part 1 and weight at most 45 share 8971 sets. The
-censuses of the longest such walk are kept and serve every lower n;
-distinct parts keep one census per n, from the weights n - 1 and n.
-The tests check the census field by field against one built from
-enum_partitions and the per-partition statistics below, and against
-the per-n walk it replaced. A census refuses with ValueError, before
-walking anything, when n has more than CENSUS_BUDGET partitions: p(n)
-for unrestricted partitions (n <= 45) and q(n) for distinct parts
-(n <= 82), both taken exactly from Euler's pentagonal recurrence. The
-walk for all parts counts p(n) partitions, the walk for distinct parts
-q(n).
+depend only on the set, so each is read once for S and once for S with
+part 1, with bit operations. For all parts the walk covers every
+weight up to n, each count an int with one slot per weight, wide
+enough for p(n), and gives the census of every m <= n: the p(45) =
+89134 partitions with no part 1 and weight at most 45 share 8971 sets.
+The censuses of the longest such walk are kept and serve every lower
+n; distinct parts keep one census per n, from the weights n - 1 and n.
+The tests check the census field by field, value count by value count,
+against one built from enum_partitions and the per-partition
+statistics below, and against the per-n walk it replaced. A census
+refuses with ValueError, before walking anything, when n has more than
+CENSUS_BUDGET partitions: p(n) for unrestricted partitions (n <= 45)
+and q(n) for distinct parts (n <= 82), both taken exactly from Euler's
+pentagonal recurrence. The walk for all parts counts p(n) partitions,
+the walk for distinct parts q(n).
 
 Conventions for the empty partition: mex = 1, smallest odd excludant
 = 1, largest is 0, and the maximal excludant is 0 (there is no
@@ -50,9 +53,9 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
 # Most partitions one census may walk. At the top, n = 45, the census
-# of all partitions takes about 0.10 s alone, and so does the census of
+# of all partitions takes about 0.05 s alone, and so does the census of
 # every n <= 45, as one walk serves them all. For distinct parts, n = 82
-# takes about 0.31 s alone and every n <= 82 about 3.5 s, one walk each
+# takes about 0.19 s alone and every n <= 82 about 2.0 s, one walk each
 # (medians of five fresh processes on a 2-core x86 VM with CPython
 # 3.11). Every registry default range fits: p(35) = 14883 and
 # q(40) = 1113.
@@ -143,12 +146,18 @@ def maex(parts: tuple[int, ...]) -> int:
 
 
 class _Census(NamedTuple):
-    """Every statistic of the partitions of n (distinct parts if distinct_only)."""
+    """How many partitions of n take each value of each statistic.
 
-    count: int
-    sums: Mapping[StatKind, int]
-    mex_counts: Mapping[int, int]  # mex -> number of partitions
-    smallest_counts: Mapping[float, int]  # smallest part (inf when empty) -> number
+    Each field maps a value to its number of partitions of n (into
+    distinct parts for a distinct census); a value no partition takes is
+    left out. The first four fields are named by the StatKind values.
+    """
+
+    mex: Mapping[int, int]
+    moex: Mapping[int, int]
+    maex: Mapping[int, int]
+    largest: Mapping[int, int]
+    smallest: Mapping[float, int]  # inf for the empty partition
 
 
 def _pentagonal(limit: int) -> Iterator[tuple[int, int]]:
@@ -213,15 +222,13 @@ def _walk(
 def _read(tally: dict[int, int], one: int, evens: int) -> _Census:
     """The census of the sets in tally, each with part 1 added if one is 2, its bit.
 
-    Each set counts tally[set] times and every number is a sum of those
-    counts times a statistic, so counts that pack several weights into
-    one int give a packed census. evens has every even bit up to 2 past
-    the largest part, so that moex is the lowest bit clear in
-    mask | evens.
+    Each set counts tally[set] times, so counts that pack several
+    weights into one int give a packed census. evens has every even bit
+    up to 2 past the largest part, so that moex is the lowest bit clear
+    in mask | evens.
     """
-    count = mex_sum = moex_sum = maex_sum = largest_sum = 0
-    mex_counts: dict[int, int] = {}
-    smallest_counts: dict[float, int] = {}
+    census = _Census({}, {}, {}, {}, {})
+    mexes, moexes, maexes, largests, smallests = census
     for mask, c in tally.items():
         mask |= one
         # ~x & (x + 1) is the lowest clear bit of x; bit 0 is never a part
@@ -229,54 +236,32 @@ def _read(tally: dict[int, int], one: int, evens: int) -> _Census:
         m = (~x & (x + 1)).bit_length() - 1
         largest = x.bit_length() - 1
         x = mask | evens
-        moex = (~x & (x + 1)).bit_length() - 1
-        smallest = (mask & -mask).bit_length() - 1 if mask else math.inf
-        count += c
-        mex_sum += c * m
-        moex_sum += c * moex
+        mo = (~x & (x + 1)).bit_length() - 1
         # bit 0 of ~mask stands for the excludant 0, the floor of maex
-        maex_sum += c * (((~mask & ((1 << largest) - 1)) | 1).bit_length() - 1)
-        largest_sum += c * largest
-        mex_counts[m] = mex_counts.get(m, 0) + c
-        smallest_counts[smallest] = smallest_counts.get(smallest, 0) + c
-    sums = {
-        StatKind.MEX: mex_sum,
-        StatKind.MOEX: moex_sum,
-        StatKind.MAEX: maex_sum,
-        StatKind.LARGEST: largest_sum,
-    }
-    return _Census(count, sums, mex_counts, smallest_counts)
+        ma = ((~mask & ((1 << largest) - 1)) | 1).bit_length() - 1
+        smallest = (mask & -mask).bit_length() - 1 if mask else math.inf
+        mexes[m] = mexes.get(m, 0) + c
+        moexes[mo] = moexes.get(mo, 0) + c
+        maexes[ma] = maexes.get(ma, 0) + c
+        largests[largest] = largests.get(largest, 0) + c
+        smallests[smallest] = smallests.get(smallest, 0) + c
+    return census
 
 
 def _added(a: _Census, b: _Census, times: int = 1) -> _Census:
-    """a + times * b, number by number."""
-
-    def add(x: Mapping, y: Mapping) -> dict:
-        return {k: x.get(k, 0) + times * y.get(k, 0) for k in {**x, **y}}
-
+    """a + times * b, count by count."""
     return _Census(
-        a.count + times * b.count,
-        add(a.sums, b.sums),
-        add(a.mex_counts, b.mex_counts),
-        add(a.smallest_counts, b.smallest_counts),
+        *({k: x.get(k, 0) + times * y.get(k, 0) for k in {**x, **y}} for x, y in zip(a, b))
     )
 
 
 def _frozen(census: _Census, shift: int = 0, low: int = -1) -> _Census:
-    """The read-only census in bits shift and up of every number, cut by low.
+    """The read-only census in bits shift and up of every count, cut by low.
 
-    A count that comes out 0 is left out, as no partition has its key.
+    A count that comes out 0 is left out, as no partition takes its value.
     """
-
-    def cut(counts: Mapping) -> MappingProxyType:
-        return MappingProxyType({k: c for k, x in counts.items() if (c := x >> shift & low)})
-
-    return _Census(
-        census.count >> shift & low,
-        MappingProxyType({k: x >> shift & low for k, x in census.sums.items()}),
-        cut(census.mex_counts),
-        cut(census.smallest_counts),
-    )
+    cut = ({k: c for k, x in counts.items() if (c := x >> shift & low)} for counts in census)
+    return _Census(*map(MappingProxyType, cut))
 
 
 def _evens(n: int) -> int:
@@ -291,10 +276,10 @@ def _all_censuses(n: int) -> list[_Census]:
     an int with one slot of width bits per weight w <= n. The partitions
     of m are those with no part 1 of weight m, and those of each lower
     weight plus ones: times above, the second kind moves to every slot
-    above its own. No slot overflows, as each holds a sum over at most
-    p(n) partitions of a statistic at most n + 2.
+    above its own. No slot overflows: each counts partitions with no
+    part 1 and weight at most n, no two alike, and those number p(n).
     """
-    width = ((n + 2) * _stream_sizes(False)[n]).bit_length()
+    width = _stream_sizes(False)[n].bit_length()
     units = [1 << width * (n - left) for left in range(n + 1)]
     tally = {0: 1}  # the empty partition
     _walk(n, n, 0, False, [(tally, unit) for unit in units])
@@ -360,7 +345,8 @@ def _census(n: int, distinct_only: bool) -> _Census:
 
 def stat_sum_oracle(kind: StatKind, n: int, distinct_only: bool = False) -> int:
     """Sum a statistic over all partitions of n, read from the census of n."""
-    return _census(n, distinct_only).sums[kind]
+    counts = getattr(_census(n, distinct_only), kind.value)
+    return sum(value * c for value, c in counts.items())
 
 
 def refined_count_oracle(
@@ -374,13 +360,13 @@ def refined_count_oracle(
     """
     census = _census(n, distinct_only)
     if kind is CountKind.MEX_EQ:
-        return census.mex_counts.get(index, 0)
+        return census.mex.get(index, 0)
     if kind is CountKind.MEX_GT:
-        return sum(c for m, c in census.mex_counts.items() if m > index)
+        return sum(c for m, c in census.mex.items() if m > index)
     if kind is CountKind.SMALLEST_GT:
-        return sum(c for s, c in census.smallest_counts.items() if s > index)
+        return sum(c for s, c in census.smallest.items() if s > index)
     if kind is CountKind.ODD_MEX:
-        return sum(c for m, c in census.mex_counts.items() if m % 2 == 1)
+        return sum(c for m, c in census.mex.items() if m % 2 == 1)
     raise ValueError(f"unknown count kind {kind!r}")
 
 
@@ -388,11 +374,11 @@ def two_colored_distinct_count(n: int) -> int:
     """Number of pairs of distinct-part partitions with weights summing to n.
 
     Convolves the distinct-partition counts d(0..n) with themselves,
-    where each d(j) is the count of the distinct census of j.
+    where each d(j) is the number of partitions in the distinct census of j.
     """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     # d[j] holds d(n - j), top first so that an over-budget n refuses
     # before any enumeration; the convolution is symmetric in j <-> n - j.
-    d = [_census(j, True).count for j in range(n, -1, -1)]
+    d = [sum(_census(j, True).mex.values()) for j in range(n, -1, -1)]
     return sum(d[j] * d[n - j] for j in range(n + 1))

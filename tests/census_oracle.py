@@ -10,7 +10,7 @@ per set.
 import math
 from types import MappingProxyType
 
-from qmex.partitions import StatKind, _Census
+from qmex.partitions import _Census
 
 
 def walk(rest: int, top: int, mask: int, distinct_only: bool, tally: dict[int, int]) -> None:
@@ -45,34 +45,22 @@ def _lowest_clear(x: int) -> int:
 
 
 def census(n: int, distinct_only: bool) -> _Census:
-    """Every statistic of the partitions of n, from one walk over the partitions of n."""
+    """How many partitions of n take each value of each statistic, from one walk over them."""
     tally: dict[int, int] = {}
     walk(n, n, 0, distinct_only, tally)
     evens = sum(1 << i for i in range(0, n + 4, 2))  # moex <= n + 2 is odd
-    count = mex_sum = moex_sum = maex_sum = largest_sum = 0
-    mex_counts: dict[int, int] = {}
-    smallest_counts: dict[float, int] = {}
+    census = _Census({}, {}, {}, {}, {})
+    mexes, moexes, maexes, largests, smallests = census
     for mask, c in tally.items():
         m = _lowest_clear(mask | 1)
+        mo = _lowest_clear(mask | evens)
         largest = max(mask.bit_length() - 1, 0)
-        smallest = (mask & -mask).bit_length() - 1 if mask else math.inf
-        count += c
-        mex_sum += c * m
-        moex_sum += c * _lowest_clear(mask | evens)
         # bit 0 of ~mask stands for the excludant 0, the floor of maex
-        maex_sum += c * (((~mask & ((1 << largest) - 1)) | 1).bit_length() - 1)
-        largest_sum += c * largest
-        mex_counts[m] = mex_counts.get(m, 0) + c
-        smallest_counts[smallest] = smallest_counts.get(smallest, 0) + c
-    sums = {
-        StatKind.MEX: mex_sum,
-        StatKind.MOEX: moex_sum,
-        StatKind.MAEX: maex_sum,
-        StatKind.LARGEST: largest_sum,
-    }
-    return _Census(
-        count,
-        MappingProxyType(sums),
-        MappingProxyType(mex_counts),
-        MappingProxyType(smallest_counts),
-    )
+        ma = ((~mask & ((1 << largest) - 1)) | 1).bit_length() - 1
+        smallest = (mask & -mask).bit_length() - 1 if mask else math.inf
+        mexes[m] = mexes.get(m, 0) + c
+        moexes[mo] = moexes.get(mo, 0) + c
+        maexes[ma] = maexes.get(ma, 0) + c
+        largests[largest] = largests.get(largest, 0) + c
+        smallests[smallest] = smallests.get(smallest, 0) + c
+    return _Census(*map(MappingProxyType, census))

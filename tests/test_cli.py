@@ -103,6 +103,36 @@ class TestVerifyCommand:
         code, _ = invoke(capsys, "verify", "--identity", "fermat-last")
         assert code == 2
 
+    def test_all_walks_the_all_parts_census_once(self, capsys, monkeypatch):
+        from qmex import partitions
+
+        walks = []
+        all_censuses = partitions._all_censuses
+        monkeypatch.setattr(partitions, "_all_censuses", lambda n: walks.append(n) or all_censuses(n))
+        partitions._clear_censuses()
+        code, _ = invoke(capsys, "verify", "--all")
+        assert code == 0
+        assert len(walks) == 1, walks
+
+    @pytest.mark.parametrize(
+        ("flags", "err"),
+        [
+            (["--order", "9000"], "order 9000 is outside the supported range 0..8000"),
+            (["--oracle-max", "46"], "the partitions of 46 exceed the enumeration budget"
+             " of 100000 partitions; the largest n within it is 45"),
+            (["--order", "10", "--oracle-max", "9000"], "the partitions of 9000 exceed the"
+             " enumeration budget of 100000 partitions; the largest n within it is 45"),
+            (["--order", "5", "--oracle-max", "50"], "the partitions of 50 exceed the"
+             " enumeration budget of 100000 partitions; the largest n within it is 45"),
+            (["--order", "9000", "--oracle-max", "9001"], "order 9000 is outside the supported range 0..8000"),
+        ],
+    )
+    def test_all_refuses_the_first_bad_range_in_registry_order(self, capsys, flags, err):
+        # the refusal pass runs oracle entries largest range first; no message may change
+        code = run(["verify", "--all", *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
+
     def test_all_and_identity_conflict(self, capsys):
         code, _ = invoke(capsys, "verify", "--all", "--identity", "euler-identity")
         assert code == 2

@@ -58,32 +58,13 @@ def reference_refined_count(kind, index, n, distinct_only):
 
 
 def reference_census(n, distinct_only):
-    """The census as one pass over enum_partitions, four statistics per partition."""
-    count = mex_sum = moex_sum = maex_sum = largest_sum = 0
-    mex_counts = {}
-    smallest_counts = {}
+    """The census as one pass over enum_partitions, five statistics per partition."""
+    census = _Census({}, {}, {}, {}, {})
     for p in enum_partitions(n, distinct_only):
-        m = mex(p)
-        count += 1
-        mex_sum += m
-        moex_sum += moex(p)
-        maex_sum += maex(p)
-        largest_sum += p[0] if p else 0
-        mex_counts[m] = mex_counts.get(m, 0) + 1
-        smallest = p[-1] if p else math.inf
-        smallest_counts[smallest] = smallest_counts.get(smallest, 0) + 1
-    sums = {
-        StatKind.MEX: mex_sum,
-        StatKind.MOEX: moex_sum,
-        StatKind.MAEX: maex_sum,
-        StatKind.LARGEST: largest_sum,
-    }
-    return _Census(
-        count,
-        MappingProxyType(sums),
-        MappingProxyType(mex_counts),
-        MappingProxyType(smallest_counts),
-    )
+        values = (mex(p), moex(p), maex(p), p[0] if p else 0, p[-1] if p else math.inf)
+        for counts, value in zip(census, values):
+            counts[value] = counts.get(value, 0) + 1
+    return _Census(*map(MappingProxyType, census))
 
 
 def assert_census_equals_reference(n, distinct_only):

@@ -480,6 +480,16 @@ def test_import_loads_no_decimal():
     subprocess.run([sys.executable, "-I", "-c", code], check=True)
 
 
+def test_import_loads_no_json_or_datetime():
+    # json is imported where JSON is written, datetime by export alone
+    src = str(pathlib.Path(series.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import qmex, qmex.cli; "
+        "sys.exit(sorted({'json', 'datetime', '_datetime'} & set(sys.modules)) or 0)"
+    )
+    subprocess.run([sys.executable, "-I", "-c", code], check=True)
+
+
 def test_zero_and_one():
     assert one(0).coefficients() == (1,)
     f = IntSeries([4, -2, 7])
