@@ -14,8 +14,8 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .qfunctions import distinct_gen, sigma_d_mex_series
 from .series import NumericalIntegrityError
@@ -48,8 +48,7 @@ class AsymKind(enum.Enum):
     SIGMA_L = "sigma-l"
 
 
-@dataclass(frozen=True)
-class HrrResult:
+class HrrResult(NamedTuple):
     """A truncated Hardy-Ramanujan-Rademacher style evaluation."""
 
     n: int

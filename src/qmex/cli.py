@@ -22,7 +22,7 @@ from .asymptotics import (
     hrr_sigma_mex,
     tauberian_ratio,
 )
-from .identities import Status, registry, verify_each
+from .identities import registry, verify_each
 from .partitions import StatKind, stat_sum_oracle
 from .qfunctions import Form, NamedSeries, RefinedKind, available_series, build_named, refined_series
 
@@ -100,7 +100,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = verify_each(names, args.order, args.oracle_max)
     for report in reports:
         print(_report_line(report))
-    return 0 if all(r.status is Status.PASS for r in reports) else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_hrr(args: argparse.Namespace) -> int:

@@ -13,8 +13,9 @@ parity, positivity) whose statements quantify over a coefficient range
 rather than equating two series.
 
 Every verdict takes one path: a bad range is refused before any work
-(verify_each refuses before it verifies any entry), and the first row
-(n, got, want, label, holds) that does not hold is the Mismatch.
+(verify_each refuses before it verifies any entry), the first row
+(n, got, want, label, holds) that does not hold is the Mismatch, and a
+VerificationReport is PASS exactly when it holds no Mismatch.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from itertools import chain, combinations, count, filterfalse, repeat
 from operator import attrgetter, eq, ge, itemgetter, lt
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .partitions import (
     CountKind,
@@ -68,6 +69,8 @@ class Status(enum.Enum):
     FAIL = "FAIL"
 
 
+# The two check records stay dataclasses while perfbench/tracing.py
+# rebinds the builders they hold through dataclasses.fields.
 @dataclass(frozen=True)
 class SeriesPair:
     """Two routes to the same series."""
@@ -89,8 +92,7 @@ class OraclePair:
 Check = Union[SeriesPair, OraclePair]
 
 
-@dataclass(frozen=True)
-class IdentityDescriptor:
+class IdentityDescriptor(NamedTuple):
     """One registered identity.
 
     checks holds every concrete comparison the identity bundles (a
@@ -107,25 +109,26 @@ class IdentityDescriptor:
     statement: str
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     n: int
     lhs: int
     rhs: int
     check: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     name: str
     range_checked: int
-    status: Status
     first_mismatch: Optional[Mismatch] = None
     note: Optional[str] = None
 
     @property
+    def status(self) -> Status:
+        return Status.PASS if self.first_mismatch is None else Status.FAIL
+
+    @property
     def passed(self) -> bool:
-        return self.status is Status.PASS
+        return self.first_mismatch is None
 
 
 # ----------------------------------------------------------------------
@@ -149,10 +152,6 @@ def _first_failure(rows: Iterable[_Row]) -> Optional[Mismatch]:
     """The first row that does not hold, as a Mismatch; None if all hold."""
     row = next(filterfalse(itemgetter(4), rows), None)
     return None if row is None else Mismatch(*row[:4])
-
-
-def _report(name: str, rng: int, first: Optional[Mismatch], note: Optional[str] = None) -> VerificationReport:
-    return VerificationReport(name, rng, Status.PASS if first is None else Status.FAIL, first, note)
 
 
 # ----------------------------------------------------------------------
@@ -223,8 +222,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
     forms_agree(
         "thm-sigma-d-mex",
         "sigma-d-mex",
-        "mex-sum over distinct partitions: (-q;q)_inf sigma(q) "
-        "= (-q;q)_inf sum_{m>=1} m q^(m(m-1)/2)/(-q;q)_m",
+        "sigma-sum-identity times the unit (-q;q)_inf: sigma-d-mex CANONICAL = ALT1",
     )
     forms_agree(
         "sigma-sum-identity",
@@ -252,12 +250,14 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
     )
     ss(
         "d-i-sum",
-        "sum_{i>=0} [distinct partitions with mex > i] = mex-sum over distinct partitions",
+        "code check, not a theorem: the mex > i tails of _slices, summed over i >= 0, regroup "
+        "sigma-d-mex CANONICAL (-q;q)_inf sum_n q^(n(n+1)/2)/(-q;q)_n, built by _nested_sum",
         SeriesPair("sum-vs-sigma-d-mex", _sliced(None, lambda i: 1), sigma_d_mex_series),
     )
     ss(
         "refined-mex-weighted-sum",
-        "sum_m m [distinct partitions with mex = m] = mex-sum over distinct",
+        "code check, not a theorem: sum_m m [mex slice m of _slices] regroups "
+        "sigma-d-mex ALT1 (-q;q)_inf sum_m m q^(m(m-1)/2)/(-q;q)_m, built by _nested_sum",
         SeriesPair("weighted-slices", _sliced(RefinedKind.MEX, lambda m: m), sigma_d_mex_series),
     )
     ss(
@@ -279,7 +279,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
     )
     ss(
         "refined-maex-weighted-sum",
-        "sum_k k [distinct partitions with maex = k] = maex-sum over distinct",
+        "code check, not a theorem: sum_k k [maex slice k of _slices] regroups sigma-d-maex's double sum",
         SeriesPair("weighted-maex-slices", _sliced(RefinedKind.MAEX, lambda k: k), sigma_d_maex_series),
     )
 
@@ -444,7 +444,7 @@ def verify_descriptor(desc: IdentityDescriptor, order_or_nmax: Optional[int] = N
         else:
             got, want = _upto(check.series(rng), rng), [check.oracle(n) for n in range(rng + 1)]
         firsts.append(_first_failure(_rows(count(), got, want, check.label)))
-    return _report(desc.name, rng, min(filter(None, firsts), key=attrgetter("n"), default=None))
+    return VerificationReport(desc.name, rng, min(filter(None, firsts), key=attrgetter("n"), default=None))
 
 
 # ----------------------------------------------------------------------
@@ -469,7 +469,7 @@ def monotonicity_check(nmax: int) -> VerificationReport:
     s = _upto(sigma_d_mex_series(nmax), nmax)
     note = f"boundary equality at 6 -> 7 (both {s[6]})" if s[6] == s[7] else None
     first = _first_failure(_rows(count(7), s[7:], s[8:], "strict-increase", lt))
-    return _report("monotonicity", nmax, first, note)
+    return VerificationReport("monotonicity", nmax, first, note)
 
 
 def parity_check(nmax: int) -> VerificationReport:
@@ -493,7 +493,7 @@ def parity_check(nmax: int) -> VerificationReport:
     parity = _rows(count(1), mex_sum, odd, "mex-sum-parity")
     rows = chain(_rows(count(), a, gated, "oracle-gate"), chain.from_iterable(zip(pattern, parity)))
     first = _first_failure(rows)
-    return _report("parity", nmax, first, None if first else f"oracle gate to {gate}")
+    return VerificationReport("parity", nmax, first, None if first else f"oracle gate to {gate}")
 
 
 def positivity_check(nmax: int) -> VerificationReport:
@@ -503,4 +503,4 @@ def positivity_check(nmax: int) -> VerificationReport:
     zero = _rows((1,), s[1:2], (0,), "zero-at-one")
     rest = (s[0], *s[2:])  # every n but 1
     positive = _rows((0, *range(2, nmax + 1)), rest, (1,) * nmax, "strictly-positive", ge)
-    return _report("positivity", nmax, _first_failure(chain(zero, positive)))
+    return VerificationReport("positivity", nmax, _first_failure(chain(zero, positive)))

@@ -28,9 +28,9 @@ over all partitions it times that plus sigma_star / 2 (Chern, 2021).
 
 Every builder takes the order first, f(order, *key), and is served from
 one store: the longest series built per key serves each lower order by
-slicing. clear_cache() empties it, and
-each builder's cache_info() counts its hits and misses. An order above
-MAX_ORDER raises ValueError before the store is read.
+slicing. clear_cache() empties it, and each builder's cache_info()
+returns its CacheInfo(hits, misses). An order above MAX_ORDER raises
+ValueError before the store is read.
 
 Naming follows the statistics themselves: mex is the least missing
 part, moex the least missing odd part, maex the largest missing value
@@ -42,11 +42,9 @@ partitions.
 from __future__ import annotations
 
 import enum
-from collections import namedtuple
-from dataclasses import dataclass
 from functools import wraps
 from itertools import count
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .partitions import _pentagonal
 from .series import (
@@ -74,8 +72,7 @@ class RefinedKind(enum.Enum):
     MAEX = "maex"
 
 
-@dataclass(frozen=True)
-class NamedSeries:
+class NamedSeries(NamedTuple):
     """A built series together with the name and form that produced it."""
 
     name: str
@@ -83,14 +80,17 @@ class NamedSeries:
     series: IntSeries
 
 
+# Calls of one builder served from the store (hits) and built (misses).
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+
+
 # Largest order any builder accepts. Measured cold builds at MAX_ORDER
 # take 0.9-1.2 s (sigma-d-maex, sigma-d-moex alt1), 0.30-0.38 s
 # (chern-sigma-maex) and at most 0.40 s for every other route (two
 # fresh processes each, 2-core x86-64 VM, Python 3.11).
 MAX_ORDER = 8000
-
-# Calls of one builder served from the store (hits) and built (misses).
-CacheInfo = namedtuple("CacheInfo", "hits misses")
 
 # The longest series built so far per (builder, positional arguments after order).
 _STORE: dict[tuple, IntSeries] = {}
