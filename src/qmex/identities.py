@@ -279,7 +279,8 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
     )
     ss(
         "refined-maex-weighted-sum",
-        "code check, not a theorem: sum_k k [maex slice k of _slices] regroups sigma-d-maex's double sum",
+        "maex-sum over distinct partitions two ways: sum_k k [maex slice k of _slices], grouped by "
+        "maex value, = sigma-d-maex, grouped by number of parts s: sum_s q^(s(s+1)/2) Z_s",
         SeriesPair("weighted-maex-slices", _sliced(RefinedKind.MAEX, lambda k: k), sigma_d_maex_series),
     )
 
@@ -311,7 +312,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
     )
     so(
         "sigma-d-maex-oracle",
-        "[q^n] maex double sum = maex-sum over distinct partitions of n",
+        "[q^n] maex number-of-parts sum = maex-sum over distinct partitions of n",
         enumerated(sigma_d_maex_series, lambda n: stat_sum_oracle(StatKind.MAEX, n, True)),
         rng=40,
     )

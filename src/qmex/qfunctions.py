@@ -7,15 +7,14 @@ through genuinely different formulas and are compared coefficientwise
 by the identity registry, so a bug in one route shows up as a mismatch
 rather than silently agreeing with itself.
 
-Every nested q-series sum, sum_n t_n A_n with the ratio t_n / t_{n-1}
-a monomial times one or two binomial factors and A_n sparse, runs
-through one kernel, _nested_sum, by Horner's rule from the innermost
-term out: O(N) list work a step on a window of the coefficients the
-outer terms can still reach. A_n is the sparse inner sum over parts
-above the gap in the maex double sum over distinct parts, a constant
-weight in the q-hypergeometric sums; four of those are one
+Every q-hypergeometric sum, sum_n w_n t_n with a constant weight w_n
+and the ratio t_n / t_{n-1} a monomial times one or two binomial
+factors, runs through one kernel, _nested_sum, by Horner's rule from
+the innermost term out: O(N) list work a step on a window of the
+coefficients the outer terms can still reach. Four of those are one
 residue-class mex sum, _mex_sum: sigma, the inner sums of a-d and
-sigma-d-moex, and a.
+sigma-d-moex, and a. The maex sum over distinct parts is no such sum:
+it runs forward over the number of parts, two divisions a step.
 
 The slices of the refined families come from one running quotient per
 family (_slices): the tail (-q^{m+1};q)_inf of a mex slice is the
@@ -44,7 +43,7 @@ from __future__ import annotations
 import enum
 from functools import wraps
 from itertools import count
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .partitions import _pentagonal
 from .series import (
@@ -87,9 +86,9 @@ class CacheInfo(NamedTuple):
 
 
 # Largest order any builder accepts. Measured cold builds at MAX_ORDER
-# take 0.9-1.2 s (sigma-d-maex, sigma-d-moex alt1), 0.30-0.38 s
-# (chern-sigma-maex) and at most 0.40 s for every other route (two
-# fresh processes each, 2-core x86-64 VM, Python 3.11).
+# take 0.6-0.8 s (sigma-d-moex alt1), 0.16-0.28 s (sigma-d-maex) and at
+# most 0.40 s for every other route (fresh processes, 2-core x86-64 VM,
+# Python 3.11).
 MAX_ORDER = 8000
 
 # The longest series built so far per (builder, positional arguments after order).
@@ -154,21 +153,20 @@ def clear_cache() -> None:
         counts[:] = [0, 0]
 
 
-# One step (A_n, a_n, B_n) of a nested sum; see _nested_sum.
-_Step = tuple[Iterable[tuple[int, int]], int, tuple[tuple[int, int, int], ...]]
+# One step (w_n, a_n, B_n) of a nested sum; see _nested_sum.
+_Step = tuple[int, int, tuple[tuple[int, int, int], ...]]
 
 
 def _nested_sum(order: int, step: Callable[[int], _Step], first: int) -> list[int]:
-    """Coefficients 0..order of sum_{n>=first} t_n A_n, by Horner's rule.
+    """Coefficients 0..order of sum_{n>=first} w_n t_n, by Horner's rule.
 
-    step(n) gives (A_n, a_n, B_n): the addend A_n as (exponent,
-    coefficient) pairs in ascending exponent, a shift a_n >= 0 and the
-    binomials B_n as (s, e, p), each the factor (1 + s q^e)^p with p = +1
-    (multiply) or -1 (divide). The terms are t_n = q^{a_n} B_n t_{n-1}
-    from t_{first-1} = 1. Every binomial has constant term 1, so
+    step(n) gives (w_n, a_n, B_n): the weight w_n, a shift a_n >= 0 and
+    the binomials B_n as (s, e, p), each the factor (1 + s q^e)^p with
+    p = +1 (multiply) or -1 (divide). The terms are t_n = q^{a_n} B_n
+    t_{n-1} from t_{first-1} = 1. Every binomial has constant term 1, so
     low_n = a_first + ... + a_n is the lowest exponent of t_n; the shifts
     must pass order eventually, and the top n is the last with
-    low_n <= order. From there down, acc <- q^{a_n} B_n (A_n + acc)
+    low_n <= order. From there down, acc <- q^{a_n} B_n (w_n + acc)
     keeps the order + 1 - low_{n-1} coefficients that t_{n-1} leaves
     room for, so the list grows by a_n a step and step(n) is called
     again rather than kept.
@@ -181,12 +179,8 @@ def _nested_sum(order: int, step: Callable[[int], _Step], first: int) -> list[in
         low += shift
     acc = [0] * (order + 1 - low)
     for n in range(stop - 1, first - 1, -1):
-        addend, shift, binomials = step(n)
-        width = len(acc)
-        for e, c in addend:
-            if e >= width:
-                break
-            acc[e] += c
+        weight, shift, binomials = step(n)
+        acc[0] += weight
         for sign, e, power in binomials:
             if power > 0:
                 _mul_binomial_inplace(acc, sign, e)
@@ -205,7 +199,7 @@ def _mex_sum(order: int, A: int, a: int, s: int, distinct: bool) -> list[int]:
     base: term k counts the partitions holding a, a + A, ..., a + A(k-1).
     """
     # term k is term k-1 times s q^e / (1 + q^e), e = a + A(k-1); no divisor off the distinct base
-    step = lambda k, e: (((0, A * s**k),), e, ((1, e, -1),) if distinct else ())
+    step = lambda k, e: (A * s**k, e, ((1, e, -1),) if distinct else ())
     acc = _nested_sum(order, lambda k: step(k, a + A * (k - 1)), 1)
     acc[0] += a
     return acc
@@ -227,14 +221,14 @@ def sigma_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     if form is Form.CANONICAL:
         return IntSeries._trusted(_mex_sum(order, 1, 1, 1, True))
     # t_m = q^{m(m-1)/2} / (-q;q)_m, ratio q^{m-1} / (1 + q^m)
-    return IntSeries._trusted(_nested_sum(order, lambda m: (((0, m),), m - 1, ((1, m, -1),)), 1))
+    return IntSeries._trusted(_nested_sum(order, lambda m: (m, m - 1, ((1, m, -1),)), 1))
 
 
 @_builder("sigma-star")
 def sigma_star_series(order: int) -> IntSeries:
     """Companion series 2 * sum_{n>=1} (-1)^n q^{n^2} / (q;q^2)_n."""
     # t_n = q^{n^2} / (q;q^2)_n, ratio q^{2n-1} / (1 - q^{2n-1})
-    step = lambda n: (((0, 2 * (-1) ** n),), 2 * n - 1, ((-1, 2 * n - 1, -1),))
+    step = lambda n: (2 * (-1) ** n, 2 * n - 1, ((-1, 2 * n - 1, -1),))
     return IntSeries._trusted(_nested_sum(order, step, 1))
 
 
@@ -310,8 +304,8 @@ def a_d_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
         # t_0 = 1/(1+q), then ratio q^{4n-1} / ((1+q^{2n})(1+q^{2n+1}))
         def step(n: int) -> _Step:
             if n == 0:
-                return ((0, 1),), 0, ((1, 1, -1),)
-            return ((0, 1),), 4 * n - 1, ((1, 2 * n, -1), (1, 2 * n + 1, -1))
+                return 1, 0, ((1, 1, -1),)
+            return 1, 4 * n - 1, ((1, 2 * n, -1), (1, 2 * n + 1, -1))
 
         inner = _nested_sum(order, step, 0)
     return distinct_gen(order) * IntSeries._trusted(inner)
@@ -335,7 +329,7 @@ def sigma_d_moex_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
         if form is Form.ALT1:
             # t_n = q^n (q^2;q^2)_{n-1}: shift by 1, then a new factor
             # (1 - q^{2(n-1)}) appears for n >= 2
-            step = lambda n: (((0, -2 * (-1) ** n),), 1, ((-1, 2 * n - 2, 1),) if n > 1 else ())
+            step = lambda n: (-2 * (-1) ** n, 1, ((-1, 2 * n - 2, 1),) if n > 1 else ())
             inner = _nested_sum(order, step, 1)
         else:
             star = sigma_star_series(order).coefficients()
@@ -362,18 +356,28 @@ def _maex_exponents(k: int, order: int) -> Iterator[int]:
 def sigma_d_maex_series(order: int) -> IntSeries:
     """Sum of the maximal excludant over distinct-part partitions.
 
-    Double sum  sum_{k>=1} k (-q;q)_{k-1} T_k,  T_k = sum_{m>=1} q^{m(m+1)/2 + km},
-    grouping by maex value k and by the number m of parts above the
-    gap. As a nested sum t_k = q^k (-q;q)_{k-1}, ratio q (1 + q^{k-1}),
-    and A_k = k T_k / q^k, added sparsely: O(order^2). Constant and
-    linear coefficients are zero.
+    Grouped by the number s of parts: sum_{s>=1} q^{s(s+1)/2} Z_s with
+    W_s = 1/(q;q)_s and Z_s = (Z_{s-1} + W_s - 1) / (1 - q^s), Z_0 = 0.
+    An s-part partition is the staircase plus mu, at most s parts: maex = L - r, L = s + mu_1,
+    and the top run r >= k just when mu_1 = ... = mu_k. Conjugation (Andrews, 1976) gives
+    Z_s = s W_s + W_s sum_{i<=s} q^i/(1-q^i) - sum_{k<=s} 1/(q^k;q)_{s-k+1}, which telescopes.
+    Two divisions a step on a list cut to the order + 1 - s(s+1)/2
+    coefficients the term reaches: O(order^1.5).
     """
-
-    def step(k: int) -> _Step:
-        addend = ((e - k, k) for e in _maex_exponents(k, order))
-        return addend, 1, ((1, k - 1, 1),) if k > 1 else ()
-
-    return IntSeries._trusted(_nested_sum(order, step, 1))
+    total = [0] * (order + 1)
+    w = [1] + [0] * order  # W_s
+    z = [0] * (order + 1)  # Z_s
+    for s in count(1):
+        low = s * (s + 1) // 2
+        if low > order:
+            break
+        del w[order + 1 - low :]
+        _div_binomial_inplace(w, -1, s)
+        z = [a + b for a, b in zip(z, w)]  # cut to w's length
+        z[0] -= 1
+        _div_binomial_inplace(z, -1, s)
+        total[low:] = [a + b for a, b in zip(total[low:], z)]
+    return IntSeries._trusted(total)
 
 
 def _divisor_counts(order: int) -> list[int]:

@@ -94,7 +94,8 @@ def double_sum_sigma_d_maex(order):
     """sum_{k>=1} k (-q;q)_{k-1} sum_{m>=1} q^{m(m+1)/2 + km}, summed k by k.
 
     The prefix (-q;q)_{k-1} grows one factor per k and is added, shifted,
-    once per (k, m) pair: the reference for the Horner-form builder.
+    once per (k, m) pair: grouped by maex value, a reference for the
+    builder's grouping by number of parts.
     """
     total = [0] * (order + 1)
     pk = [1] + [0] * order  # (-q;q)_{k-1}, starts at k = 1
@@ -240,7 +241,10 @@ def residue_mex(parts, A, a):
 
 
 def old_horner_sigma_d_maex(order):
-    """The Horner loop sigma-d-maex had before the kernel: acc <- acc (1 + q^k) + k T_k."""
+    """The maex-value double sum sigma-d-maex was built from before it grouped by parts.
+
+    Horner's rule over k: acc <- acc (1 + q^k) + k T_k, O(order^2).
+    """
     acc = [0] * (order + 1)
     for k in range(order - 1, 0, -1):
         _mul_binomial_inplace(acc, 1, k)
@@ -438,8 +442,39 @@ class TestDistinctFamilies:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=300))
-    def test_sigma_d_maex_horner_matches_double_sum(self, order):
+    def test_sigma_d_maex_by_parts_matches_double_sum(self, order):
         assert sigma_d_maex_series(order).coefficients() == double_sum_sigma_d_maex(order)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=1500))
+    @example(0)
+    @example(1)
+    @example(2)
+    @example(3)
+    @example(1500)
+    def test_sigma_d_maex_by_parts_matches_old_horner(self, order):
+        clear_cache()
+        assert sigma_d_maex_series(order).coefficients() == old_horner_sigma_d_maex(order)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 6, 300, 2000])
+    def test_sigma_d_maex_takes_two_divisions_per_part_count(self, monkeypatch, order):
+        calls = {"mul": 0, "div": 0}
+
+        def counted(key, kernel):
+            def wrapped(*args):
+                calls[key] += 1
+                return kernel(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(qfunctions, "_mul_binomial_inplace", counted("mul", _mul_binomial_inplace))
+        monkeypatch.setattr(qfunctions, "_div_binomial_inplace", counted("div", _div_binomial_inplace))
+        clear_cache()
+        sigma_d_maex_series(order)
+        s_max = max(s for s in range(order + 1) if s * (s + 1) // 2 <= order)
+        assert calls["mul"] == 0
+        assert calls["div"] <= 2 * s_max
+        clear_cache()
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=120))
@@ -488,7 +523,7 @@ class TestNestedSum:
 
     def test_shifts_past_the_order_leave_zero(self):
         # each term 1 and shift 5: no term below q^5, so the sum is zero at full length
-        step = lambda n: (((0, 1),), 5, ())
+        step = lambda n: (1, 5, ())
         assert qfunctions._nested_sum(3, step, 1) == [0, 0, 0, 0]
         assert qfunctions._nested_sum(5, step, 1) == [0, 0, 0, 0, 0, 1]
 
