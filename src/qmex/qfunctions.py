@@ -86,7 +86,7 @@ class CacheInfo(NamedTuple):
 
 
 # Largest order any builder accepts. Measured cold builds at MAX_ORDER
-# take 0.6-0.8 s (sigma-d-moex alt1), 0.16-0.28 s (sigma-d-maex) and at
+# take 0.6-1.1 s (sigma-d-moex alt1), 0.16-0.28 s (sigma-d-maex) and at
 # most 0.40 s for every other route (fresh processes, 2-core x86-64 VM,
 # Python 3.11).
 MAX_ORDER = 8000
