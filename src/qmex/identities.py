@@ -39,7 +39,7 @@ from .qfunctions import (
     RefinedKind,
     _CATALOGUE,
     _check_order,
-    _slices,
+    _sliced,
     a_d_series,
     a_series,
     build_named,
@@ -156,26 +156,6 @@ def _first_failure(rows: Iterable[_Row]) -> Optional[Mismatch]:
 
 # ----------------------------------------------------------------------
 # builders used by more than one entry
-
-
-def _sliced(kind: Optional[RefinedKind], weight: Callable[[int], int]) -> SeriesBuilder:
-    """sum_k weight(k) * slice k of a family (None: the mex > i tails of dcount_series).
-
-    Every slice nonzero at the order comes from the running quotients of
-    qfunctions._slices and, unless its weight is 0, is added into one
-    list: a route apart from the aggregate builders, which sum q-series
-    terms and multiply.
-    """
-
-    def build(order: int) -> IntSeries:
-        total = [0] * (order + 1)
-        for k, low, body in _slices(kind, order):
-            w = weight(k)
-            if w:
-                total[low:] = [t + w * v for t, v in zip(total[low:], body)]
-        return IntSeries(total)
-
-    return build
 
 
 def _route(name: str, form: Form) -> SeriesBuilder:
@@ -318,7 +298,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
     )
     so(
         "chern-sigma-maex-oracle",
-        "[q^n] maex double sum over all partitions = maex-sum over all partitions",
+        "[q^n] (sum_m d(m) q^m + sigma_star/2)/(q;q)_inf = maex-sum over all partitions of n",
         enumerated(chern_sigma_maex_series, lambda n: stat_sum_oracle(StatKind.MAEX, n)),
         rng=30,
     )

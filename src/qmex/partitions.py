@@ -26,8 +26,9 @@ part 1, with bit operations. For all parts the walk covers every
 weight up to n, each count an int with one slot per weight, wide
 enough for p(n), and gives the census of every m <= n: the p(45) =
 89134 partitions with no part 1 and weight at most 45 share 8971 sets.
-The censuses of the longest such walk are kept and serve every lower
-n; distinct parts keep one census per n, from the weights n - 1 and n.
+One store keeps every census walked, by n and kind: an all-parts walk
+stores the census of every m <= n, and a distinct-parts walk the one
+census of n, from the weights n - 1 and n.
 The tests check the census field by field, value count by value count,
 against one built from enum_partitions and the per-partition
 statistics below, and against the per-n walk it replaced. A census
@@ -299,21 +300,14 @@ def _distinct_census(n: int) -> _Census:
     return _frozen(_added(_read(without, 0, evens), _read(with_one, 2, evens)))
 
 
-# The censuses walked so far. All parts keep the census of every n up to
-# that of the longest walk, which serves every lower n, as the series
-# store does.
-_ALL_PARTS: list[_Census] = []
-# Distinct parts keep one census per n. One packed walk over a range
-# tallies 526,385 sets at n = 82 against 92,864: a lone census there took
-# 3.4-4.3 s and 183 MB against 0.2-0.35 s and 25 MB (fresh processes,
-# 2-core x86-64 VM, Python 3.11), and the range up to 40 gained nothing.
-_DISTINCT: dict[int, _Census] = {}
-
-
-def _clear_censuses() -> None:
-    """Empty the census store."""
-    _ALL_PARTS.clear()
-    _DISTINCT.clear()
+# The censuses walked so far, by (n, distinct_only). An all-parts walk at n
+# stores the census of every m <= n, so a walk is needed only above the
+# largest n stored, as the series store serves lower orders. Distinct
+# parts store one n per walk. One packed walk over a range tallies
+# 526,385 sets at n = 82 against 92,864: a lone census there took 3.4-4.3 s
+# and 183 MB against 0.2-0.35 s and 25 MB (fresh processes, 2-core x86-64
+# VM, Python 3.11), and the range up to 40 gained nothing.
+_CENSUSES: dict[tuple[int, bool], _Census] = {}
 
 
 def _census(n: int, distinct_only: bool) -> _Census:
@@ -333,14 +327,13 @@ def _census(n: int, distinct_only: bool) -> _Census:
             f"the {kind} of {n} exceed the enumeration budget of {CENSUS_BUDGET}"
             f" partitions; the largest n within it is {limit}"
         )
-    if distinct_only:
-        census = _DISTINCT.get(n)
-        if census is None:
-            census = _DISTINCT[n] = _distinct_census(n)
-        return census
-    if n >= len(_ALL_PARTS):
-        _ALL_PARTS[:] = _all_censuses(n)
-    return _ALL_PARTS[n]
+    key = n, distinct_only
+    if key not in _CENSUSES:
+        if distinct_only:
+            _CENSUSES[key] = _distinct_census(n)
+        else:
+            _CENSUSES.update(((m, False), census) for m, census in enumerate(_all_censuses(n)))
+    return _CENSUSES[key]
 
 
 def stat_sum_oracle(kind: StatKind, n: int, distinct_only: bool = False) -> int:

@@ -7,23 +7,28 @@ through genuinely different formulas and are compared coefficientwise
 by the identity registry, so a bug in one route shows up as a mismatch
 rather than silently agreeing with itself.
 
-Every q-hypergeometric sum, sum_n w_n t_n with a constant weight w_n
-and the ratio t_n / t_{n-1} a monomial times one or two binomial
+Every q-hypergeometric sum, sum_{n>=1} w_n t_n with a constant weight
+w_n and the ratio t_n / t_{n-1} a monomial times one or two binomial
 factors, runs through one kernel, _nested_sum, by Horner's rule from
 the innermost term out: O(N) list work a step on a window of the
 coefficients the outer terms can still reach. Four of those are one
-residue-class mex sum, _mex_sum: sigma, the inner sums of a-d and
-sigma-d-moex, and a. The maex sum over distinct parts is no such sum:
-it runs forward over the number of parts, two divisions a step.
+residue-class mex sum, _mex_sum, of Andrews and Newman's mex_{A,1}:
+sigma, the inner sums of a-d and sigma-d-moex, and a. The maex sum
+over distinct parts is no such sum: it runs forward over the number of
+parts, two divisions a step.
 
 The slices of the refined families come from one running quotient per
 family (_slices): the tail (-q^{m+1};q)_inf of a mex slice is the
-previous tail divided by (1 + q^m), O(order) a step. 1/(q;q)_inf is
-stored once (partition_gen), the inverse of a series that Euler's
-pentagonal theorem makes sparse (_euler_product); (-q;q)_inf, the
-factor most builders end with, is (q^2;q^2)_inf times it, the
-largest-part sum is it times the divisor-count series, and the maex sum
-over all partitions it times that plus sigma_star / 2 (Chern, 2021).
+previous tail divided by (1 + q^m), O(order) a step. The identity
+registry's slice sums (_sliced) add weight times each slice off that
+stream into one list.
+
+1/(q;q)_inf is stored once (partition_gen), the inverse of a series
+that Euler's pentagonal theorem makes sparse (_euler_product);
+(-q;q)_inf, the factor most builders end with, is (q^2;q^2)_inf times
+it, the largest-part sum is it times the divisor-count series, and the
+maex sum over all partitions it times that plus sigma_star / 2 (Chern,
+2021).
 
 Every builder takes the order first, f(order, *key), and is served from
 one store: the longest series built per key serves each lower order by
@@ -157,14 +162,14 @@ def clear_cache() -> None:
 _Step = tuple[int, int, tuple[tuple[int, int, int], ...]]
 
 
-def _nested_sum(order: int, step: Callable[[int], _Step], first: int) -> list[int]:
-    """Coefficients 0..order of sum_{n>=first} w_n t_n, by Horner's rule.
+def _nested_sum(order: int, step: Callable[[int], _Step]) -> list[int]:
+    """Coefficients 0..order of sum_{n>=1} w_n t_n, by Horner's rule.
 
     step(n) gives (w_n, a_n, B_n): the weight w_n, a shift a_n >= 0 and
     the binomials B_n as (s, e, p), each the factor (1 + s q^e)^p with
     p = +1 (multiply) or -1 (divide). The terms are t_n = q^{a_n} B_n
-    t_{n-1} from t_{first-1} = 1. Every binomial has constant term 1, so
-    low_n = a_first + ... + a_n is the lowest exponent of t_n; the shifts
+    t_{n-1} from t_0 = 1. Every binomial has constant term 1, so
+    low_n = a_1 + ... + a_n is the lowest exponent of t_n; the shifts
     must pass order eventually, and the top n is the last with
     low_n <= order. From there down, acc <- q^{a_n} B_n (w_n + acc)
     keeps the order + 1 - low_{n-1} coefficients that t_{n-1} leaves
@@ -172,13 +177,13 @@ def _nested_sum(order: int, step: Callable[[int], _Step], first: int) -> list[in
     again rather than kept.
     """
     low = 0
-    for stop in count(first):
+    for stop in count(1):
         shift = step(stop)[1]
         if low + shift > order:
             break
         low += shift
     acc = [0] * (order + 1 - low)
-    for n in range(stop - 1, first - 1, -1):
+    for n in range(stop - 1, 0, -1):
         weight, shift, binomials = step(n)
         acc[0] += weight
         for sign, e, power in binomials:
@@ -190,18 +195,18 @@ def _nested_sum(order: int, step: Callable[[int], _Step], first: int) -> list[in
     return acc
 
 
-def _mex_sum(order: int, A: int, a: int, s: int, distinct: bool) -> list[int]:
-    """Coefficients 0..order of a + A sum_{k>=1} s^k q^{ka + Ak(k-1)/2} / (-q^a;q^A)_k.
+def _mex_sum(order: int, A: int, s: int, distinct: bool) -> list[int]:
+    """Coefficients 0..order of 1 + A sum_{k>=1} s^k q^{k + Ak(k-1)/2} / (-q;q^A)_k.
 
     The denominator is kept on the distinct base only. With s = +1, the
-    sum times (-q;q)_inf (distinct) or 1/(q;q)_inf (not) sums mex_{A,a},
-    the least absent part = a mod A (Andrews and Newman, 2020), over that
-    base: term k counts the partitions holding a, a + A, ..., a + A(k-1).
+    sum times (-q;q)_inf (distinct) or 1/(q;q)_inf (not) sums mex_{A,1},
+    the least absent part = 1 mod A (Andrews and Newman, 2020), over that
+    base: term k counts the partitions holding 1, 1 + A, ..., 1 + A(k-1).
     """
-    # term k is term k-1 times s q^e / (1 + q^e), e = a + A(k-1); no divisor off the distinct base
+    # term k is term k-1 times s q^e / (1 + q^e), e = 1 + A(k-1); no divisor off the distinct base
     step = lambda k, e: (A * s**k, e, ((1, e, -1),) if distinct else ())
-    acc = _nested_sum(order, lambda k: step(k, a + A * (k - 1)), 1)
-    acc[0] += a
+    acc = _nested_sum(order, lambda k: step(k, 1 + A * (k - 1)))
+    acc[0] += 1
     return acc
 
 
@@ -219,9 +224,9 @@ def sigma_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     registered identities.
     """
     if form is Form.CANONICAL:
-        return IntSeries._trusted(_mex_sum(order, 1, 1, 1, True))
+        return IntSeries._trusted(_mex_sum(order, 1, 1, True))
     # t_m = q^{m(m-1)/2} / (-q;q)_m, ratio q^{m-1} / (1 + q^m)
-    return IntSeries._trusted(_nested_sum(order, lambda m: (m, m - 1, ((1, m, -1),)), 1))
+    return IntSeries._trusted(_nested_sum(order, lambda m: (m, m - 1, ((1, m, -1),))))
 
 
 @_builder("sigma-star")
@@ -229,7 +234,7 @@ def sigma_star_series(order: int) -> IntSeries:
     """Companion series 2 * sum_{n>=1} (-1)^n q^{n^2} / (q;q^2)_n."""
     # t_n = q^{n^2} / (q;q^2)_n, ratio q^{2n-1} / (1 - q^{2n-1})
     step = lambda n: (2 * (-1) ** n, 2 * n - 1, ((-1, 2 * n - 1, -1),))
-    return IntSeries._trusted(_nested_sum(order, step, 1))
+    return IntSeries._trusted(_nested_sum(order, step))
 
 
 # ----------------------------------------------------------------------
@@ -299,15 +304,13 @@ def a_d_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     ALT1:      (-q;q)_inf * sum_{n>=0} q^{n(2n+1)} / (-q;q)_{2n+1}.
     """
     if form is Form.CANONICAL:
-        inner = _mex_sum(order, 1, 1, -1, True)
+        inner = _mex_sum(order, 1, -1, True)
     else:
-        # t_0 = 1/(1+q), then ratio q^{4n-1} / ((1+q^{2n})(1+q^{2n+1}))
-        def step(n: int) -> _Step:
-            if n == 0:
-                return 1, 0, ((1, 1, -1),)
-            return 1, 4 * n - 1, ((1, 2 * n, -1), (1, 2 * n + 1, -1))
-
-        inner = _nested_sum(order, step, 0)
+        # t_n = q^{n(2n+1)} / (-q^2;q)_{2n}, ratio q^{4n-1} / ((1+q^{2n})(1+q^{2n+1})); then
+        # (1 + sum_{n>=1} t_n) / (1 + q) is the sum over q^{n(2n+1)} / (-q;q)_{2n+1}
+        inner = _nested_sum(order, lambda n: (1, 4 * n - 1, ((1, 2 * n, -1), (1, 2 * n + 1, -1))))
+        inner[0] += 1
+        _div_binomial_inplace(inner, 1, 1)
     return distinct_gen(order) * IntSeries._trusted(inner)
 
 
@@ -324,13 +327,13 @@ def sigma_d_moex_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     kernels; ALT1 is the independent route.
     """
     if form is Form.CANONICAL:
-        inner = _mex_sum(order, 2, 1, 1, True)
+        inner = _mex_sum(order, 2, 1, True)
     else:
         if form is Form.ALT1:
             # t_n = q^n (q^2;q^2)_{n-1}: shift by 1, then a new factor
             # (1 - q^{2(n-1)}) appears for n >= 2
             step = lambda n: (-2 * (-1) ** n, 1, ((-1, 2 * n - 2, 1),) if n > 1 else ())
-            inner = _nested_sum(order, step, 1)
+            inner = _nested_sum(order, step)
         else:
             star = sigma_star_series(order).coefficients()
             inner = [(-c if j % 2 else c) for j, c in enumerate(star)]  # q -> -q
@@ -460,6 +463,26 @@ def _slices(
         yield k, low, body
 
 
+def _sliced(kind: RefinedKind | None, weight: Callable[[int], int]) -> Callable[[int], IntSeries]:
+    """sum_k weight(k) * slice k of a family (None: the mex > i tails of dcount_series).
+
+    Every slice nonzero at the order comes from the running quotients of
+    _slices and, unless its weight is 0, is added into one list: a route
+    apart from the aggregate builders, which sum q-series terms and
+    multiply.
+    """
+
+    def build(order: int) -> IntSeries:
+        total = [0] * (order + 1)
+        for k, low, body in _slices(kind, order):
+            w = weight(k)
+            if w:
+                total[low:] = [t + w * v for t, v in zip(total[low:], body)]
+        return IntSeries._trusted(total)
+
+    return build
+
+
 def _slice(kind: RefinedKind | None, index: int, order: int) -> IntSeries:
     """Slice index of a family; past the last nonzero slice it is zero at once."""
     first, lowest = _FAMILIES[kind]
@@ -514,11 +537,11 @@ def dcount_series(order: int, i: int) -> IntSeries:
 def a_series(order: int) -> IntSeries:
     """Count of all partitions of n with odd mex.
 
-    partition_gen times _mex_sum at (1, 1, -1) off the distinct base, the
+    partition_gen times _mex_sum at (1, -1) off the distinct base, the
     theta sum_{k>=0} (-1)^k q^{k(k+1)/2}: a partition with mex m holds
     1..k just when k < m, and sum_{k<m} (-1)^k is 1 for odd m, else 0.
     """
-    return partition_gen(order) * IntSeries._trusted(_mex_sum(order, 1, 1, -1, False))
+    return partition_gen(order) * IntSeries._trusted(_mex_sum(order, 1, -1, False))
 
 
 @_builder("sigma-l")

@@ -112,16 +112,12 @@ class IntSeries:
     def __add__(self, other: "IntSeries") -> "IntSeries":
         if not isinstance(other, IntSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        a, b = self._coeffs, other._coeffs
-        return IntSeries._trusted([a[i] + b[i] for i in range(n + 1)])
+        return IntSeries._trusted(map(add, self._coeffs, other._coeffs))
 
     def __sub__(self, other: "IntSeries") -> "IntSeries":
         if not isinstance(other, IntSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        a, b = self._coeffs, other._coeffs
-        return IntSeries._trusted([a[i] - b[i] for i in range(n + 1)])
+        return IntSeries._trusted(map(sub, self._coeffs, other._coeffs))
 
     def __mul__(self, other: "IntSeries") -> "IntSeries":
         """Cauchy product truncated to the smaller operand order N.

@@ -109,7 +109,7 @@ class TestVerifyCommand:
         walks = []
         all_censuses = partitions._all_censuses
         monkeypatch.setattr(partitions, "_all_censuses", lambda n: walks.append(n) or all_censuses(n))
-        partitions._clear_censuses()
+        partitions._CENSUSES.clear()
         code, _ = invoke(capsys, "verify", "--all")
         assert code == 0
         assert len(walks) == 1, walks
@@ -327,7 +327,6 @@ class TestOrderCap:
             raise AssertionError("identity route ran")
 
         monkeypatch.setattr(identities, "poch", no_work)
-        monkeypatch.setattr(identities, "_slices", no_work)
         names = [d.name for d in registry() if d.comparison is Comparison.SERIES_SERIES]
         assert names
         for argv in [["--identity", name] for name in names] + [["--all"]]:

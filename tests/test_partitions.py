@@ -238,7 +238,7 @@ class TestOracles:
 class TestCensus:
     @pytest.mark.parametrize("distinct_only", [False, True])
     def test_walk_equals_reference_census(self, distinct_only):
-        partitions._clear_censuses()  # ascending, so every n is a new walk
+        partitions._CENSUSES.clear()  # ascending, so every n is a new walk
         for n in range(31):
             assert_census_equals_reference(n, distinct_only)
 
@@ -249,10 +249,39 @@ class TestCensus:
         random.Random(20).shuffle(shuffled)
         results = []
         for order in (range(top + 1), range(top, -1, -1), shuffled):
-            partitions._clear_censuses()
+            partitions._CENSUSES.clear()
             got = {n: _census(n, distinct_only) for n in order}
             results.append([got[n] for n in range(top + 1)])
         assert results[0] == results[1] == results[2]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        reads=st.lists(
+            st.one_of(
+                st.tuples(st.integers(0, 30), st.just(False)),
+                st.tuples(st.integers(0, 40), st.just(True)),
+            ),
+            max_size=8,
+        )
+    )
+    def test_one_store_walks_only_what_it_lacks(self, reads):
+        # from an empty store, mixed reads walk all parts only above the largest
+        # all-parts n read so far and distinct parts only at a new n
+        walks, want_walks, top, seen = [], [], -1, set()
+        all_censuses, distinct_census = partitions._all_censuses, partitions._distinct_census
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partitions, "_CENSUSES", {})
+            mp.setattr(partitions, "_all_censuses", lambda n: walks.append((n, False)) or all_censuses(n))
+            mp.setattr(partitions, "_distinct_census", lambda n: walks.append((n, True)) or distinct_census(n))
+            for n, distinct_only in reads:
+                assert _census(n, distinct_only) == census_oracle.census(n, distinct_only), (n, distinct_only)
+                if distinct_only and n not in seen:
+                    seen.add(n)
+                    want_walks.append((n, True))
+                elif not distinct_only and n > top:
+                    top = n
+                    want_walks.append((n, False))
+                assert walks == want_walks, reads
 
     @pytest.mark.parametrize("distinct_only", [False, True])
     def test_walk_equals_reference_census_at_budget_top(self, distinct_only):
@@ -309,7 +338,7 @@ class TestOverBudgetRefused:
         def refuse(*args):
             raise AssertionError(f"enumerated {args}")
 
-        partitions._clear_censuses()
+        partitions._CENSUSES.clear()
         monkeypatch.setattr(partitions, "enum_partitions", refuse)
         monkeypatch.setattr(partitions, "_walk", refuse)
 

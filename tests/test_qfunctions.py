@@ -231,10 +231,10 @@ def theta_a_series(order):
     return partition_gen(order) * IntSeries(sparse)
 
 
-def residue_mex(parts, A, a):
-    """mex_{A,a}: the least positive integer = a (mod A) that is not a part, 1 <= a <= A."""
+def residue_mex(parts, A):
+    """mex_{A,1}: the least positive integer = 1 (mod A) that is not a part."""
     have = set(parts)
-    m = a
+    m = 1
     while m in have:
         m += A
     return m
@@ -524,12 +524,12 @@ class TestNestedSum:
     def test_shifts_past_the_order_leave_zero(self):
         # each term 1 and shift 5: no term below q^5, so the sum is zero at full length
         step = lambda n: (1, 5, ())
-        assert qfunctions._nested_sum(3, step, 1) == [0, 0, 0, 0]
-        assert qfunctions._nested_sum(5, step, 1) == [0, 0, 0, 0, 0, 1]
+        assert qfunctions._nested_sum(3, step) == [0, 0, 0, 0]
+        assert qfunctions._nested_sum(5, step) == [0, 0, 0, 0, 0, 1]
 
 
-# (A, a) pairs of the residue-class mex checked against enumeration
-RESIDUE_CLASSES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 3), (5, 2)]
+# moduli A of the residue-class mex mex_{A,1} checked against enumeration
+MODULI = [1, 2, 3, 4, 5]
 
 
 class TestResidueMexSum:
@@ -555,15 +555,15 @@ class TestResidueMexSum:
     @pytest.mark.parametrize("s", [1, -1])
     @pytest.mark.parametrize("distinct,top", [(True, 40), (False, 30)])
     def test_sums_the_residue_class_mex(self, distinct, top, s):
-        # mex_{A,a} = a + A j with a, ..., a + A(j-1) all parts; the sum weighs a
-        # partition a + A sum_{k=1..j} s^k: mex_{A,a} for s = +1, a - A (j mod 2) for s = -1
+        # mex_{A,1} = 1 + A j with 1, ..., 1 + A(j-1) all parts; the sum weighs a
+        # partition 1 + A sum_{k=1..j} s^k: mex_{A,1} for s = +1, 1 - A (j mod 2) for s = -1
         base = distinct_gen(top) if distinct else partition_gen(top)
         parts = [list(enum_partitions(n, distinct)) for n in range(top + 1)]
-        for A, a in RESIDUE_CLASSES:
-            got = base * IntSeries(qfunctions._mex_sum(top, A, a, s, distinct))
-            weight = lambda m: m if s == 1 else a - A * ((m - a) // A % 2)
-            want = tuple(sum(weight(residue_mex(p, A, a)) for p in ps) for ps in parts)
-            assert got.coefficients() == want, (A, a)
+        for A in MODULI:
+            got = base * IntSeries(qfunctions._mex_sum(top, A, s, distinct))
+            weight = lambda m: m if s == 1 else 1 - A * ((m - 1) // A % 2)
+            want = tuple(sum(weight(residue_mex(p, A)) for p in ps) for ps in parts)
+            assert got.coefficients() == want, A
 
 
 class TestPentagonalRoute:
