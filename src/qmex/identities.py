@@ -99,14 +99,19 @@ class IdentityDescriptor(NamedTuple):
     three-form equivalence carries all pairwise comparisons, for
     instance). default_range is the coefficient range used when the
     caller does not pick one: a truncation order for SERIES_SERIES, a
-    maximal n for SERIES_ORACLE.
+    maximal n for SERIES_ORACLE. The comparison is read from the checks:
+    SERIES_ORACLE when any check is an OraclePair.
     """
 
     name: str
-    comparison: Comparison
     checks: tuple[Check, ...]
     default_range: int
     statement: str
+
+    @property
+    def comparison(self) -> Comparison:
+        oracle = any(isinstance(check, OraclePair) for check in self.checks)
+        return Comparison.SERIES_ORACLE if oracle else Comparison.SERIES_SERIES
 
 
 class Mismatch(NamedTuple):
@@ -175,18 +180,12 @@ def _odd_mex_count_all(n: int) -> int:
 # ----------------------------------------------------------------------
 # the registry itself
 
-_SS = Comparison.SERIES_SERIES
-_SO = Comparison.SERIES_ORACLE
-
 
 def _build_registry() -> tuple[IdentityDescriptor, ...]:
     entries: list[IdentityDescriptor] = []
 
-    def ss(name: str, statement: str, *checks: Check, rng: int = 300) -> None:
-        entries.append(IdentityDescriptor(name, _SS, tuple(checks), rng, statement))
-
-    def so(name: str, statement: str, *checks: Check, rng: int) -> None:
-        entries.append(IdentityDescriptor(name, _SO, tuple(checks), rng, statement))
+    def add(name: str, statement: str, *checks: Check, rng: int = 300) -> None:
+        entries.append(IdentityDescriptor(name, checks, rng, statement))
 
     def enumerated(series: SeriesBuilder, oracle: Oracle) -> OraclePair:
         return OraclePair("series-vs-enumeration", series, oracle)
@@ -197,7 +196,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
             SeriesPair(f"{a.value}-vs-{b.value}", _route(series, a), _route(series, b))
             for a, b in combinations(_CATALOGUE[series][1], 2)
         )
-        ss(name, statement, *checks)
+        add(name, statement, *checks)
 
     forms_agree(
         "thm-sigma-d-mex",
@@ -222,49 +221,49 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         "= alternating q^n (q^2;q^2)_(n-1) sum = 1 + sigma_star(-q), "
         "all times (-q;q)_inf",
     )
-    ss(
+    add(
         "euler-identity",
         "(-q;q)_inf (q;q^2)_inf = 1, equivalently distinct = 1/odd-parts",
         SeriesPair("product-is-one", lambda o: poch(1, 1, 1, INFINITE, o) * poch(-1, 1, 2, INFINITE, o), one),
         SeriesPair("distinct-vs-inverted-odd", distinct_gen, lambda o: poch(-1, 1, 2, INFINITE, o).invert()),
     )
-    ss(
+    add(
         "d-i-sum",
         "code check, not a theorem: the mex > i tails of _slices, summed over i >= 0, regroup "
         "sigma-d-mex CANONICAL (-q;q)_inf sum_n q^(n(n+1)/2)/(-q;q)_n, built by _nested_sum",
         SeriesPair("sum-vs-sigma-d-mex", _sliced(None, lambda i: 1), sigma_d_mex_series),
     )
-    ss(
+    add(
         "refined-mex-weighted-sum",
         "code check, not a theorem: sum_m m [mex slice m of _slices] regroups "
         "sigma-d-mex ALT1 (-q;q)_inf sum_m m q^(m(m-1)/2)/(-q;q)_m, built by _nested_sum",
         SeriesPair("weighted-slices", _sliced(RefinedKind.MEX, lambda m: m), sigma_d_mex_series),
     )
-    ss(
+    add(
         "refined-mex-unweighted-sum",
         "sum_m [distinct partitions with mex = m] = (-q;q)_inf",
         SeriesPair("unweighted-slices", _sliced(RefinedKind.MEX, lambda m: 1), distinct_gen),
     )
-    ss(
+    add(
         "refined-omex-sum",
         "sum_k [distinct partitions with mex = 2k+1] = odd-mex count over distinct",
         SeriesPair("omex-slices", _sliced(RefinedKind.MEX, lambda m: m % 2), a_d_series),
     )
-    ss(
+    add(
         "refined-moex-weighted-sum",
         "sum_k (2k+1) [distinct partitions with moex = 2k+1] = moex-sum over distinct",
         SeriesPair(
             "weighted-moex-slices", _sliced(RefinedKind.MOEX, lambda k: 2 * k + 1), sigma_d_moex_series
         ),
     )
-    ss(
+    add(
         "refined-maex-weighted-sum",
         "maex-sum over distinct partitions two ways: sum_k k [maex slice k of _slices], grouped by "
         "maex value, = sigma-d-maex, grouped by number of parts s: sum_s q^(s(s+1)/2) Z_s",
         SeriesPair("weighted-maex-slices", _sliced(RefinedKind.MAEX, lambda k: k), sigma_d_maex_series),
     )
 
-    so(
+    add(
         "sigma-mex-equals-d2-oracle",
         "mex-sum over all partitions of n = number of two-colored "
         "distinct-part partition pairs of total weight n = [q^n] (-q;q)_inf^2",
@@ -272,49 +271,49 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         OraclePair("series-vs-pair-count", sigma_mex_series, two_colored_distinct_count),
         rng=30,
     )
-    so(
+    add(
         "sigma-d-mex-oracle",
         "[q^n] (-q;q)_inf sigma(q) = mex-sum over distinct partitions of n",
         enumerated(sigma_d_mex_series, lambda n: stat_sum_oracle(StatKind.MEX, n, True)),
         rng=40,
     )
-    so(
+    add(
         "a-d-oracle",
         "[q^n] odd-mex series = count of distinct partitions of n with odd mex",
         enumerated(a_d_series, lambda n: refined_count_oracle(CountKind.ODD_MEX, 0, n, True)),
         rng=40,
     )
-    so(
+    add(
         "sigma-d-moex-oracle",
         "[q^n] moex series = moex-sum over distinct partitions of n",
         enumerated(sigma_d_moex_series, lambda n: stat_sum_oracle(StatKind.MOEX, n, True)),
         rng=40,
     )
-    so(
+    add(
         "sigma-d-maex-oracle",
         "[q^n] maex number-of-parts sum = maex-sum over distinct partitions of n",
         enumerated(sigma_d_maex_series, lambda n: stat_sum_oracle(StatKind.MAEX, n, True)),
         rng=40,
     )
-    so(
+    add(
         "chern-sigma-maex-oracle",
         "[q^n] (sum_m d(m) q^m + sigma_star/2)/(q;q)_inf = maex-sum over all partitions of n",
         enumerated(chern_sigma_maex_series, lambda n: stat_sum_oracle(StatKind.MAEX, n)),
         rng=30,
     )
-    so(
+    add(
         "sigma-l-oracle",
         "[q^n] sum_m d(m) q^m/(q;q)_inf = largest-part sum over all partitions of n",
         enumerated(sigma_L_series, lambda n: stat_sum_oracle(StatKind.LARGEST, n)),
         rng=30,
     )
-    so(
+    add(
         "a-series-oracle-gate",
         "[q^n] odd-mex series over all partitions = count of partitions of n with odd mex",
         enumerated(a_series, _odd_mex_count_all),
         rng=35,
     )
-    so(
+    add(
         "d-i-bijection",
         "distinct partitions of n with mex > i = distinct partitions of "
         "n - i(i+1)/2 with all parts > i (staircase removal)",
@@ -336,7 +335,7 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
         ],
         rng=40,
     )
-    so(
+    add(
         "refined-mex-slice-oracle",
         "[q^n] mex slice m = count of distinct partitions of n with mex = m",
         *[
@@ -383,11 +382,11 @@ def verify_each(
     that share a range refuse in the order of names, and the reports keep that order.
     """
     descs = [_BY_NAME[name] for name in names]
-    asked = [(d, order if d.comparison is _SS else oracle_max) for d in descs]
+    asked = [(d, oracle_max if d.comparison is Comparison.SERIES_ORACLE else order) for d in descs]
 
     def rank(pair: tuple[IdentityDescriptor, Optional[int]]) -> tuple[bool, int]:
         desc, rng = pair
-        return desc.comparison is not _SS, -(desc.default_range if rng is None else rng)
+        return desc.comparison is Comparison.SERIES_ORACLE, -(desc.default_range if rng is None else rng)
 
     for desc, rng in sorted(asked, key=rank):
         _range(desc, rng)
@@ -397,18 +396,18 @@ def verify_each(
 def _range(desc: IdentityDescriptor, order_or_nmax: Optional[int]) -> int:
     """The range to verify desc over (None: its default), refused before any series is built.
 
-    A negative range or a series-series order above MAX_ORDER raises
-    ValueError. Every oracle is evaluated at the top of the range, so a
-    range past the enumeration budget raises before any smaller n is walked.
+    A negative range raises ValueError. Each check then refuses on its own: a SeriesPair an
+    order above MAX_ORDER, and an OraclePair, whose oracle is evaluated at the top of the
+    range, a range past the enumeration budget before any smaller n is walked.
     """
     rng = desc.default_range if order_or_nmax is None else order_or_nmax
     if rng < 0:
         raise ValueError("verification range must be non-negative")
-    if desc.comparison is _SS:
-        _check_order(rng)
     for check in desc.checks:
         if isinstance(check, OraclePair):
             check.oracle(rng)
+        else:
+            _check_order(rng)
     return rng
 
 

@@ -7,16 +7,17 @@ builders are checked coefficient by coefficient against these counts.
 enum_partitions is the per-partition stream: one recursive generator,
 which adds the ones of a partition in one step, yields each partition
 as a plain tuple of parts in reverse-lexicographic order, for all or
-distinct parts. mex, moex and maex read such a tuple. Nothing in the
-package reads the stream; the tests build their reference counts on it.
+distinct parts. Nothing in the package reads the stream; the tests read
+it with their own per-tuple mex, moex and maex to build reference counts.
 
-The census of n is the only path from partitions to an oracle value,
-and it does not go through that stream. It holds one map per statistic
-(mex, moex, maex, the largest and the smallest part), each from a
-value to the number of partitions of n that take it; every sum and
-count an oracle gives is read off those maps. A partition of n is a
-partition with no part 1 of weight n - j plus j ones, where j = 0 or 1
-for distinct parts; so p(n) - p(n-1) partitions of n have no part 1
+The census of n is the package's only definition of each statistic
+and the only path from partitions to an oracle value; it does not go
+through that stream. It holds one map per statistic (mex, moex, maex,
+the largest and the smallest part), each from a value to the number
+of partitions of n that take it; every sum and count an oracle gives
+is read off those maps. A partition of n is a partition with
+no part 1 of weight n - j plus j ones, where j = 0 or 1 for distinct
+parts; so p(n) - p(n-1) partitions of n have no part 1
 (Andrews, The Theory of Partitions, 1976). One walk visits the
 partitions with no part 1 depth first by (part k, multiplicity j),
 parts in decreasing order, and tallies them by their set of parts S as
@@ -30,8 +31,8 @@ One store keeps every census walked, by n and kind: an all-parts walk
 stores the census of every m <= n, and a distinct-parts walk the one
 census of n, from the weights n - 1 and n.
 The tests check the census field by field, value count by value count,
-against one built from enum_partitions and the per-partition
-statistics below, and against the per-n walk it replaced. A census
+against one built from enum_partitions and the tests' per-tuple
+statistics, and against the per-n walk it replaced. A census
 refuses with ValueError, before walking anything, when n has more than
 CENSUS_BUDGET partitions: p(n) for unrestricted partitions (n <= 45)
 and q(n) for distinct parts (n <= 82), both taken exactly from Euler's
@@ -106,40 +107,6 @@ def _finish(
             break  # parts part, part-1, ..., 1 cannot fill rest
         below = part - 1 if distinct_only else part
         yield from _finish(prefix + (part,), rest - part, below, distinct_only)
-
-
-def mex(parts: tuple[int, ...]) -> int:
-    """Smallest positive integer that is not a part."""
-    have = set(parts)
-    m = 1
-    while m in have:
-        m += 1
-    return m
-
-
-def moex(parts: tuple[int, ...]) -> int:
-    """Smallest odd positive integer that is not a part."""
-    have = set(parts)
-    m = 1
-    while m in have:
-        m += 2
-    return m
-
-
-def maex(parts: tuple[int, ...]) -> int:
-    """Largest non-negative integer below the largest part that is not a part.
-
-    parts is non-increasing, so parts[0] is the largest. 0 when every
-    candidate is present, in particular for the empty partition and for
-    staircases like (2, 1) where 0 itself is the largest missing value.
-    """
-    if not parts:
-        return 0
-    have = set(parts)
-    for g in range(parts[0] - 1, 0, -1):
-        if g not in have:
-            return g
-    return 0
 
 
 # ----------------------------------------------------------------------

@@ -508,11 +508,11 @@ def refined_series(order: int, kind: RefinedKind, index: int) -> IntSeries:
     MAEX k>=1  partitions with maximal excludant k:
                (-q;q)_{k-1} sum_{m>=1} q^{m(m+1)/2 + km}
 
-    Each slice is one lookup in the running quotients of _slices (OMEX
-    slice k is MEX slice 2k+1): a MEX tail is distinct_gen divided by
-    one (1 + q^m) per m, O(order) a step, and a slice starting past the
-    order is zero without a step. Weighted sums of the slices reproduce
-    the aggregate series, which the identity registry checks.
+    Slice k takes about k steps of one running quotient of _slices,
+    O(order) a step, so O(k * order); a slice starting past the order
+    is zero without a step. OMEX slice k is MEX slice 2k+1, and a MEX
+    tail is distinct_gen divided by one (1 + q^m) per m. Weighted sums
+    of the slices reproduce the aggregate series, which the registry checks.
     """
     if not isinstance(kind, RefinedKind):
         raise ValueError(f"unknown refined kind {kind!r}")

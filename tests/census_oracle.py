@@ -1,10 +1,14 @@
-"""The per-n census qmex.partitions used before its walk without part 1, as a test oracle.
+"""The tests' own reads of partitions, as oracles for qmex.partitions.
 
 qmex.partitions._census walks only the partitions with no part 1 and
 adds the ones afterwards; for all parts, one walk packs every weight up
 to n. The census here is the one it replaced: one walk per n over every
 partition of n, part 1 included, tallied by set of parts and read once
 per set.
+
+mex, moex and maex read one partition, a tuple of parts as
+enum_partitions yields it: the tests' own definition of each statistic,
+against the census, which is the package's only one.
 """
 
 import math
@@ -64,3 +68,37 @@ def census(n: int, distinct_only: bool) -> _Census:
         largests[largest] = largests.get(largest, 0) + c
         smallests[smallest] = smallests.get(smallest, 0) + c
     return _Census(*map(MappingProxyType, census))
+
+
+def mex(parts: tuple[int, ...]) -> int:
+    """Smallest positive integer that is not a part."""
+    have = set(parts)
+    m = 1
+    while m in have:
+        m += 1
+    return m
+
+
+def moex(parts: tuple[int, ...]) -> int:
+    """Smallest odd positive integer that is not a part."""
+    have = set(parts)
+    m = 1
+    while m in have:
+        m += 2
+    return m
+
+
+def maex(parts: tuple[int, ...]) -> int:
+    """Largest non-negative integer below the largest part that is not a part.
+
+    parts is non-increasing, so parts[0] is the largest. 0 when every
+    candidate is present, in particular for the empty partition and for
+    staircases like (2, 1) where 0 itself is the largest missing value.
+    """
+    if not parts:
+        return 0
+    have = set(parts)
+    for g in range(parts[0] - 1, 0, -1):
+        if g not in have:
+            return g
+    return 0

@@ -127,7 +127,6 @@ class TestHarnessDetectsPerturbations:
 
         desc = IdentityDescriptor(
             name="planted-series-bug",
-            comparison=Comparison.SERIES_SERIES,
             checks=(SeriesPair("planted", sigma_d_mex_series, broken),),
             default_range=40,
             statement="intentionally wrong at index 7",
@@ -154,7 +153,6 @@ class TestHarnessDetectsPerturbations:
     def test_oracle_perturbation_found(self):
         desc = IdentityDescriptor(
             name="planted-oracle-bug",
-            comparison=Comparison.SERIES_ORACLE,
             checks=(
                 OraclePair("planted", sigma_d_mex_series, lambda n: -1 if n == 5 else sigma_d_mex_series(40).coefficient(n)),
             ),
@@ -177,7 +175,6 @@ class TestHarnessDetectsPerturbations:
 
         desc = IdentityDescriptor(
             name="planted-two-bugs",
-            comparison=Comparison.SERIES_SERIES,
             checks=(
                 SeriesPair("later", sigma_d_mex_series, off_at(9)),
                 SeriesPair("earlier", sigma_d_mex_series, off_at(3)),
@@ -198,7 +195,6 @@ class TestHarnessDetectsPerturbations:
 
         desc = IdentityDescriptor(
             name="planted-tie",
-            comparison=Comparison.SERIES_SERIES,
             checks=(
                 SeriesPair("registered-first", sigma_d_mex_series, off_at_4),
                 SeriesPair("registered-second", off_at_4, sigma_d_mex_series),
@@ -213,7 +209,6 @@ class TestHarnessDetectsPerturbations:
     def test_short_route_is_an_error_not_a_pass(self):
         desc = IdentityDescriptor(
             name="planted-short-route",
-            comparison=Comparison.SERIES_SERIES,
             checks=(SeriesPair("short", sigma_d_mex_series, lambda o: sigma_d_mex_series(o - 1)),),
             default_range=20,
             statement="rhs stops one coefficient short",
@@ -224,12 +219,18 @@ class TestHarnessDetectsPerturbations:
     def test_pass_on_exact_equality(self):
         desc = IdentityDescriptor(
             name="self-comparison",
-            comparison=Comparison.SERIES_SERIES,
             checks=(SeriesPair("same", sigma_d_mex_series, sigma_d_mex_series),),
             default_range=30,
             statement="trivially true",
         )
         assert verify_descriptor(desc).passed
+
+    def test_the_comparison_is_read_from_the_checks(self):
+        assert IdentityDescriptor._fields == ("name", "checks", "default_range", "statement")
+        pair = SeriesPair("same", sigma_d_mex_series, sigma_d_mex_series)
+        oracle = OraclePair("enumerated", sigma_d_mex_series, lambda n: 0)
+        assert IdentityDescriptor("s", (pair, pair), 5, "").comparison is Comparison.SERIES_SERIES
+        assert IdentityDescriptor("o", (oracle,), 5, "").comparison is Comparison.SERIES_ORACLE
 
     def test_the_verdict_is_read_from_the_mismatch(self):
         passed = VerificationReport("x", 3)

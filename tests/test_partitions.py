@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import census_oracle
+from census_oracle import maex, mex, moex
 from qmex import partitions
 from qmex.cli import run
 from qmex.identities import verify
@@ -20,9 +21,6 @@ from qmex.partitions import (
     _census,
     _stream_sizes,
     enum_partitions,
-    maex,
-    mex,
-    moex,
     refined_count_oracle,
     stat_sum_oracle,
     two_colored_distinct_count,

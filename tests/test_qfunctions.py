@@ -19,17 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from census_oracle import maex, mex, moex
 from qmex import identities, qfunctions, series
-from qmex.partitions import (
-    CountKind,
-    StatKind,
-    enum_partitions,
-    maex,
-    mex,
-    moex,
-    refined_count_oracle,
-    stat_sum_oracle,
-)
+from qmex.partitions import CountKind, StatKind, enum_partitions, refined_count_oracle, stat_sum_oracle
 from qmex.qfunctions import (
     Form,
     RefinedKind,
@@ -59,6 +51,7 @@ from qmex.series import (
     _shift_inplace,
     poch,
 )
+from route_oracle import old_horner_sigma_d_maex, old_runs_chern
 
 
 def fraction_sigma(order):
@@ -238,38 +231,6 @@ def residue_mex(parts, A):
     while m in have:
         m += A
     return m
-
-
-def old_horner_sigma_d_maex(order):
-    """The maex-value double sum sigma-d-maex was built from before it grouped by parts.
-
-    Horner's rule over k: acc <- acc (1 + q^k) + k T_k, O(order^2).
-    """
-    acc = [0] * (order + 1)
-    for k in range(order - 1, 0, -1):
-        _mul_binomial_inplace(acc, 1, k)
-        for e in qfunctions._maex_exponents(k, order):
-            acc[e] += k
-    return tuple(acc)
-
-
-def old_runs_chern(order):
-    """The runs-above-the-gap loop chern-sigma-maex had before the sigma_star route.
-
-    acc <- (acc + P_L) / (1 - q^L) from L = order down, P_L added term
-    by term from its untelescoped form sum_{k<L} k (1 - q^k) q^{T(L)-T(k)}.
-    """
-    acc = [0] * (order + 1)
-    for L in range(order, 0, -1):
-        for k in range(L - 1, 0, -1):
-            e = (L * (L + 1) - k * (k + 1)) // 2
-            if e > order:
-                break
-            acc[e] += k
-            if e + k <= order:
-                acc[e + k] -= k
-        _div_binomial_inplace(acc, -1, L)
-    return tuple(acc)
 
 
 def horner_chern(order):
@@ -644,8 +605,6 @@ class TestRefined:
                 assert s.coefficient(n) == refined_count_oracle(CountKind.MEX_EQ, m, n, True)
 
     def test_omex_slices_match_enumeration(self):
-        from qmex.partitions import enum_partitions, mex
-
         for k in (0, 1, 2):
             s = refined_series(18, RefinedKind.OMEX, k)
             for n in range(19):
@@ -653,8 +612,6 @@ class TestRefined:
                 assert s.coefficient(n) == want
 
     def test_moex_slices_match_enumeration(self):
-        from qmex.partitions import enum_partitions, moex
-
         for k in (0, 1, 2):
             s = refined_series(18, RefinedKind.MOEX, k)
             for n in range(19):
@@ -662,8 +619,6 @@ class TestRefined:
                 assert s.coefficient(n) == want
 
     def test_maex_slices_match_enumeration(self):
-        from qmex.partitions import enum_partitions, maex
-
         for k in (1, 2, 3):
             s = refined_series(18, RefinedKind.MAEX, k)
             for n in range(19):
