@@ -22,7 +22,7 @@ from .asymptotics import (
     hrr_sigma_mex,
     tauberian_ratio,
 )
-from .identities import registry, verify_each
+from .identities import Comparison, registry, verify_each
 from .partitions import StatKind, stat_sum_oracle
 from .qfunctions import Form, NamedSeries, RefinedKind, available_series, build_named, refined_series
 
@@ -96,6 +96,14 @@ def _report_line(report) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.identity:  # one entry reads one range flag; the other is refused, not ignored
+        desc = next(d for d in registry() if d.name == args.identity)
+        if desc.comparison is Comparison.SERIES_ORACLE:
+            reads, other, unread = "--oracle-max", "--order", args.order
+        else:
+            reads, other, unread = "--order", "--oracle-max", args.oracle_max
+        if unread is not None:
+            raise ValueError(f"{desc.name} is a {desc.comparison.value} entry: it reads {reads}, not {other}")
     names = [d.name for d in registry()] if args.all else [args.identity]
     reports = verify_each(names, args.order, args.oracle_max)
     for report in reports:

@@ -235,8 +235,9 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
     )
     add(
         "refined-mex-weighted-sum",
-        "code check, not a theorem: sum_m m [mex slice m of _slices] regroups "
-        "sigma-d-mex ALT1 (-q;q)_inf sum_m m q^(m(m-1)/2)/(-q;q)_m, built by _nested_sum",
+        "sigma-sum-identity (ALT1 = CANONICAL) through the slice stream: sum_m m [mex slice m "
+        "of _slices] regroups sigma-d-mex ALT1 (-q;q)_inf sum_m m q^(m(m-1)/2)/(-q;q)_m, "
+        "against sigma-d-mex CANONICAL (-q;q)_inf sum_n q^(n(n+1)/2)/(-q;q)_n, built by _mex_sum",
         SeriesPair("weighted-slices", _sliced(RefinedKind.MEX, lambda m: m), sigma_d_mex_series),
     )
     add(

@@ -10,26 +10,26 @@ as a plain tuple of parts in reverse-lexicographic order, for all or
 distinct parts. Nothing in the package reads the stream; the tests read
 it with their own per-tuple mex, moex and maex to build reference counts.
 
-The census of n is the package's only definition of each statistic
-and the only path from partitions to an oracle value; it does not go
+The census of n is the package's only definition of each statistic and
+the only path from partitions to an oracle value; it does not go
 through that stream. It holds one map per statistic (mex, moex, maex,
-the largest and the smallest part), each from a value to the number
-of partitions of n that take it; every sum and count an oracle gives
-is read off those maps. A partition of n is a partition with
-no part 1 of weight n - j plus j ones, where j = 0 or 1 for distinct
-parts; so p(n) - p(n-1) partitions of n have no part 1
-(Andrews, The Theory of Partitions, 1976). One walk visits the
-partitions with no part 1 depth first by (part k, multiplicity j),
-parts in decreasing order, and tallies them by their set of parts S as
-an int bitmask. mex, moex, maex, the largest and the smallest part
-depend only on the set, so each is read once for S and once for S with
-part 1, with bit operations. For all parts the walk covers every
-weight up to n, each count an int with one slot per weight, wide
-enough for p(n), and gives the census of every m <= n: the p(45) =
-89134 partitions with no part 1 and weight at most 45 share 8971 sets.
-One store keeps every census walked, by n and kind: an all-parts walk
-stores the census of every m <= n, and a distinct-parts walk the one
-census of n, from the weights n - 1 and n.
+the largest and the smallest part), each from a value to the number of
+partitions of n that take it; every sum and count an oracle gives is
+read off those maps. A partition of n is a partition with no part 1 of
+weight n - j plus j ones, where j = 0 or 1 for distinct parts; so
+p(n) - p(n-1) partitions of n have no part 1 (Andrews, The Theory of
+Partitions, 1976). One walk visits the partitions with no part 1 depth
+first by (part k, multiplicity j), parts in decreasing order, and
+fills one tally keyed by their set of parts S, an int bitmask; every
+statistic depends only on the set and is read with bit operations. For
+all parts each count packs one slot per weight up to n, wide enough
+for p(n), and each S is read as it is and with part 1: the census of
+every m <= n, where the p(45) = 89134 partitions with no part 1 and
+weight at most 45 share 8971 sets. For distinct parts the walk keeps
+weight n as S and weight n - 1 as S plus part 1 (bit 1), and the tally
+is read once. One store keeps every census walked, by n and kind: an
+all-parts walk stores the census of every m <= n, and a distinct-parts
+walk the one census of n.
 The tests check the census field by field, value count by value count,
 against one built from enum_partitions and the tests' per-tuple
 statistics, and against the per-n walk it replaced. A census
@@ -52,7 +52,7 @@ import enum
 import math
 from functools import cache
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 # Most partitions one census may walk. At the top, n = 45, the census
 # of all partitions takes about 0.05 s alone, and so does the census of
@@ -160,16 +160,17 @@ def _stream_sizes(distinct_only: bool) -> tuple[int, ...]:
 
 
 def _walk(
-    rest: int, top: int, mask: int, distinct_only: bool, tallies: list[tuple[dict[int, int], int]]
+    rest: int, top: int, mask: int, distinct_only: bool, tally: dict[int, int], units: Sequence[int]
 ) -> None:
     """Tally each way to add parts top >= k >= 2 to a partition with no part 1.
 
     mask holds the parts taken so far, all above top, and rest is what
     is left of n. Each part k from the top down is taken j = 1, 2, ...
     times (once for distinct parts), and each partition reached adds
-    unit to tally[its set of parts], where (tally, unit) = tallies[left]
-    for the left of n it leaves, before the walk goes on to parts below
-    k. Distinct parts count only the partitions that leave 0 or 1.
+    units[left] to tally[its set of parts], for the left of n it leaves,
+    before the walk goes on to parts below k. Distinct parts count only
+    the partitions that leave 0 or 1, each once, under its set plus
+    part 1 (bit 1) when it leaves 1.
     """
     for k in range(min(rest, top), 1, -1):
         if distinct_only and k * (k + 1) // 2 < rest:
@@ -177,24 +178,26 @@ def _walk(
         with_k = mask | 1 << k
         left = rest - k
         while left >= 0:
-            if left <= 1 or not distinct_only:
-                tally, unit = tallies[left]
-                tally[with_k] = tally.get(with_k, 0) + unit
+            if not distinct_only:
+                tally[with_k] = tally.get(with_k, 0) + units[left]
+            elif left <= 1:
+                tally[with_k | left << 1] = 1  # no other partition has this set
             if left > 1 and k > 2:
-                _walk(left, k - 1, with_k, distinct_only, tallies)
+                _walk(left, k - 1, with_k, distinct_only, tally, units)
             if distinct_only:
                 break
             left -= k
 
 
-def _read(tally: dict[int, int], one: int, evens: int) -> _Census:
+def _read(tally: dict[int, int], one: int = 0) -> _Census:
     """The census of the sets in tally, each with part 1 added if one is 2, its bit.
 
     Each set counts tally[set] times, so counts that pack several
-    weights into one int give a packed census. evens has every even bit
-    up to 2 past the largest part, so that moex is the lowest bit clear
-    in mask | evens.
+    weights into one int give a packed census. moex is the lowest clear
+    bit of mask | evens, with every even bit up to 2 past the largest part.
     """
+    top = (max(tally, default=0) | one).bit_length()  # 1 past the largest part, part 1 too
+    evens = sum(1 << i for i in range(0, top + 2, 2))
     census = _Census({}, {}, {}, {}, {})
     mexes, moexes, maexes, largests, smallests = census
     for mask, c in tally.items():
@@ -216,7 +219,7 @@ def _read(tally: dict[int, int], one: int, evens: int) -> _Census:
     return census
 
 
-def _added(a: _Census, b: _Census, times: int = 1) -> _Census:
+def _added(a: _Census, b: _Census, times: int) -> _Census:
     """a + times * b, count by count."""
     return _Census(
         *({k: x.get(k, 0) + times * y.get(k, 0) for k in {**x, **y}} for x, y in zip(a, b))
@@ -232,13 +235,8 @@ def _frozen(census: _Census, shift: int = 0, low: int = -1) -> _Census:
     return _Census(*map(MappingProxyType, cut))
 
 
-def _evens(n: int) -> int:
-    """Every even bit up to n + 2, past the largest moex of a partition of n."""
-    return sum(1 << i for i in range(0, n + 4, 2))
-
-
-def _all_censuses(n: int) -> list[_Census]:
-    """The census of every m <= n, all parts, from one walk.
+def _all_censuses(n: int) -> dict[int, _Census]:
+    """The census of every m <= n, all parts, by m, from one walk.
 
     The walk tallies each set of parts with no part 1 once, its count
     an int with one slot of width bits per weight w <= n. The partitions
@@ -250,21 +248,17 @@ def _all_censuses(n: int) -> list[_Census]:
     width = _stream_sizes(False)[n].bit_length()
     units = [1 << width * (n - left) for left in range(n + 1)]
     tally = {0: 1}  # the empty partition
-    _walk(n, n, 0, False, [(tally, unit) for unit in units])
-    evens = _evens(n)
+    _walk(n, n, 0, False, tally, units)
     above = sum(units[:-1])  # slots 1..n
-    packed = _added(_read(tally, 0, evens), _read(tally, 2, evens), above)
-    low = (1 << width) - 1
-    return [_frozen(packed, width * m, low) for m in range(n + 1)]
+    packed = _added(_read(tally), _read(tally, 2), above)
+    return {m: _frozen(packed, width * m, (1 << width) - 1) for m in range(n + 1)}
 
 
-def _distinct_census(n: int) -> _Census:
-    """The census of n, distinct parts: weight n with no part 1, and weight n - 1 plus a 1."""
-    without: dict[int, int] = {0: 1} if n == 0 else {}  # the empty partition
-    with_one: dict[int, int] = {0: 1} if n == 1 else {}  # and it plus a 1
-    _walk(n, n, 0, True, [(without, 1), (with_one, 1)])
-    evens = _evens(n)
-    return _frozen(_added(_read(without, 0, evens), _read(with_one, 2, evens)))
+def _distinct_census(n: int) -> dict[int, _Census]:
+    """The census of n, distinct parts, by n: weight n with no part 1, and weight n - 1 plus a 1."""
+    tally = {n << 1: 1} if n <= 1 else {}  # the empty partition, plus part 1 when n is 1
+    _walk(n, n, 0, True, tally, ())
+    return {n: _frozen(_read(tally))}
 
 
 # The censuses walked so far, by (n, distinct_only). An all-parts walk at n
@@ -281,9 +275,9 @@ def _census(n: int, distinct_only: bool) -> _Census:
     """Every statistic of the partitions of n, from the store or a new walk.
 
     A partition of n is a partition with no part 1 of weight n - j plus
-    j ones, where j is 0 or 1 for distinct parts. The walk tallies the
-    partitions with no part 1 by set of parts, bit k for part k, and
-    each statistic of a set S and of S with part 1 is read once per set.
+    j ones, where j is 0 or 1 for distinct parts. The walk fills one
+    tally of the partitions with no part 1 by set of parts, bit k for
+    part k, and every statistic is read off it with bit operations.
     """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
@@ -296,10 +290,8 @@ def _census(n: int, distinct_only: bool) -> _Census:
         )
     key = n, distinct_only
     if key not in _CENSUSES:
-        if distinct_only:
-            _CENSUSES[key] = _distinct_census(n)
-        else:
-            _CENSUSES.update(((m, False), census) for m, census in enumerate(_all_censuses(n)))
+        walked = _distinct_census(n) if distinct_only else _all_censuses(n)
+        _CENSUSES.update(((m, distinct_only), census) for m, census in walked.items())
     return _CENSUSES[key]
 
 

@@ -344,6 +344,30 @@ class TestOrderCap:
         code, out = invoke(capsys, "verify", "--all", "--order", "8000", "--oracle-max", "46")
         assert (code, out) == (2, "")
 
+    @pytest.mark.parametrize(
+        ("argv", "reads", "other"),
+        [
+            (["sigma-d-mex-oracle", "--order", "10"], "--oracle-max", "--order"),
+            (["sigma-d-mex-oracle", "--order", "10", "--oracle-max", "10"], "--oracle-max", "--order"),
+            (["sigma-sum-identity", "--oracle-max", "10"], "--order", "--oracle-max"),
+            (["sigma-sum-identity", "--order", "10", "--oracle-max", "10"], "--order", "--oracle-max"),
+        ],
+    )
+    def test_verify_identity_refuses_the_range_flag_its_entry_does_not_read(
+        self, capsys, monkeypatch, no_build, argv, reads, other
+    ):
+        from qmex import partitions
+
+        def no_walk(*args):
+            raise AssertionError("census walked")
+
+        monkeypatch.setattr(partitions, "_CENSUSES", {})
+        monkeypatch.setattr(partitions, "_walk", no_walk)
+        code = run(["verify", "--identity", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"it reads {reads}, not {other}" in captured.err
+
     def test_caps_leave_room_for_the_orders_in_use(self):
         from qmex.asymptotics import required_order
         from qmex.qfunctions import MAX_ORDER, sigma_star_series

@@ -281,6 +281,20 @@ class TestCensus:
                     want_walks.append((n, False))
                 assert walks == want_walks, reads
 
+    @pytest.mark.parametrize(
+        ("distinct_only", "n", "reads"),
+        [(True, 0, 1), (True, 1, 1), (True, 2, 1), (True, 40, 1), (False, 0, 2), (False, 30, 2)],
+    )
+    def test_one_read_per_distinct_census_and_two_per_all_parts_walk(self, monkeypatch, distinct_only, n, reads):
+        # a distinct walk tallies weight n - 1 plus a 1 under its set with part 1, so one
+        # read serves both weights; the all-parts tally is read for S and S with part 1
+        calls = []
+        read = partitions._read
+        monkeypatch.setattr(partitions, "_CENSUSES", {})
+        monkeypatch.setattr(partitions, "_read", lambda *args: calls.append(args) or read(*args))
+        assert _census(n, distinct_only) == census_oracle.census(n, distinct_only)
+        assert len(calls) == reads
+
     @pytest.mark.parametrize("distinct_only", [False, True])
     def test_walk_equals_reference_census_at_budget_top(self, distinct_only):
         top = largest_n_within_budget(distinct_only)
