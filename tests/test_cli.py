@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from cli_bytes import PINNED
 from qmex import __version__
 from qmex.cli import run
 from qmex.qfunctions import sigma_d_mex_series
@@ -442,3 +443,15 @@ class TestTopLevel:
     def test_version(self, capsys):
         code, out = invoke(capsys, "--version")
         assert code == 0
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="argparse's wording was captured under CPython 3.11")
+class TestPinnedBytes:
+    @pytest.mark.parametrize(
+        ("argv", "code", "out", "err"), PINNED, ids=[" ".join(p[0]) or "(no argv)" for p in PINNED]
+    )
+    def test_exit_code_stdout_and_stderr(self, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage at COLUMNS - 2
+        got = run(argv)
+        captured = capsys.readouterr()
+        assert (got, captured.out, captured.err) == (code, out, err)
