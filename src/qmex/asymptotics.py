@@ -247,7 +247,13 @@ def tauberian_ratio(t: float, order: int) -> float:
 
 
 def eta_ratio(t: float, order: int) -> float:
-    """(-exp(-t); exp(-t))_inf against exp(pi^2/(12 t)) / sqrt(2)."""
+    """(-exp(-t); exp(-t))_inf against exp(pi^2/(12 t)) / sqrt(2).
+
+    The ratio tends to exp(t/24), not to 1: by eta's modular
+    transformation (-q; q)_inf = 2^(-1/2) exp(pi^2/(12 t) + t/24) up to a
+    factor 1 + O(exp(-2 pi^2/t)), so at required_order(t) and t <= 0.1
+    it equals exp(t/24) to float precision.
+    """
     _check_t_and_order(t, order)
     value = distinct_gen(order).eval_at(math.exp(-t))
     return value / (math.exp(math.pi**2 / (12.0 * t)) / math.sqrt(2.0))

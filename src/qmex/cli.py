@@ -156,71 +156,94 @@ def _cmd_export(args: argparse.Namespace) -> int:
 # parser
 
 
-@functools.cache  # one parser per process: run() is called once per request
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qmex",
-        description="Exact q-series for excludant statistics of integer partitions.",
-    )
-    parser.add_argument("--version", action="version", version=f"qmex {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("series", help="print a cataloged series")
+def _series_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("name", choices=available_series())
     p.add_argument("--order", type=_nonneg, required=True)
     p.add_argument("--form", choices=[f.value for f in Form], default="canonical")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(handler=_cmd_series)
 
-    p = sub.add_parser("oracle", help="brute-force statistic sums")
+
+def _oracle_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("stat", choices=[k.value for k in StatKind])
     p.add_argument("--n", type=_nonneg, required=True)
     p.add_argument("--distinct", action="store_true")
-    p.set_defaults(handler=_cmd_oracle)
 
-    p = sub.add_parser("verify", help="check registered identities")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true")
     group.add_argument("--identity", choices=sorted(d.name for d in registry()))
     p.add_argument("--order", type=_nonneg, default=None, help="series comparison order")
     p.add_argument("--oracle-max", type=_nonneg, default=None, help="maximal n for oracle entries")
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("hrr", help="exact-phase Rademacher partial sum")
+
+def _hrr_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--terms", type=_positive, default=10)
-    p.set_defaults(handler=_cmd_hrr)
 
-    p = sub.add_parser("asym", help="leading-order growth of a statistic sum")
+
+def _asym_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=[k.value for k in AsymKind], required=True)
     p.add_argument("--n", type=_positive, required=True)
-    p.set_defaults(handler=_cmd_asym)
 
-    p = sub.add_parser("tauberian", help="series value at exp(-t) against prediction")
+
+def _tauberian_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--order", type=_nonneg, required=True)
-    p.set_defaults(handler=_cmd_tauberian)
 
-    p = sub.add_parser("refine", help="one slice of a refined family")
+
+def _refine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("kind", choices=[k.value for k in RefinedKind])
     p.add_argument("--index", type=_nonneg, required=True)
     p.add_argument("--order", type=_nonneg, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(handler=_cmd_refine)
 
-    p = sub.add_parser("export", help="write a series to a file")
-    p.add_argument("name", choices=available_series())
-    p.add_argument("--order", type=_nonneg, required=True)
-    p.add_argument("--form", choices=[f.value for f in Form], default="canonical")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
+
+def _export_args(p: argparse.ArgumentParser) -> None:
+    _series_args(p)
+    p.set_defaults(format="json")  # an exported file is JSON unless --format says otherwise
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_export)
 
+
+# name -> (help, handler, argument adder), in the order --help lists them
+_COMMANDS = {
+    "series": ("print a cataloged series", _cmd_series, _series_args),
+    "oracle": ("brute-force statistic sums", _cmd_oracle, _oracle_args),
+    "verify": ("check registered identities", _cmd_verify, _verify_args),
+    "hrr": ("exact-phase Rademacher partial sum", _cmd_hrr, _hrr_args),
+    "asym": ("leading-order growth of a statistic sum", _cmd_asym, _asym_args),
+    "tauberian": ("series value at exp(-t) against prediction", _cmd_tauberian, _tauberian_args),
+    "refine": ("one slice of a refined family", _cmd_refine, _refine_args),
+    "export": ("write a series to a file", _cmd_export, _export_args),
+}
+
+
+# One parser per named command, and the full parser (command None) for
+# anything else. Most of a cold request's parser time is spent constructing
+# subparsers, so a command line builds only the one it names.
+@functools.cache
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qmex",
+        description="Exact q-series for excludant statistics of integer partitions.",
+    )
+    parser.add_argument("--version", action="version", version=f"qmex {__version__}")
+    # a one-command parser still names all eight in the usage line that an
+    # unrecognized argument prints; the full parser's errors say "command"
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, handler, add_args) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_args(p)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -324,6 +324,11 @@ class TestTauberian:
     def test_eta_close_at_tenth(self):
         assert abs(eta_ratio(0.1, 800) - 1.0) < 0.02
 
+    @pytest.mark.parametrize("t", [0.1, 0.05])
+    def test_eta_ratio_tends_to_exp_t_over_24(self, t):
+        # eta's modular transformation leaves exp(t/24), not 1
+        assert abs(eta_ratio(t, required_order(t)) / math.exp(t / 24) - 1) < 1e-12
+
     def test_eta_value_is_product_value(self):
         t = 0.2
         x = math.exp(-t)

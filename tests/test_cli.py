@@ -1,15 +1,20 @@
 """Tests for the command line front end."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cli_bytes import PINNED
 from qmex import __version__
-from qmex.cli import run
+from qmex.cli import _COMMANDS, _build_parser, run
 from qmex.qfunctions import sigma_d_mex_series
 
 
@@ -455,3 +460,56 @@ class TestPinnedBytes:
         got = run(argv)
         captured = capsys.readouterr()
         assert (got, captured.out, captured.err) == (code, out, err)
+
+
+def _outcome(parser, argv):
+    """The namespace a parse gives, or its exit code with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+# every option string, its prefixes, values that pass and fail each type and
+# choice, and words no command takes
+_TOKENS = sorted(
+    {
+        "--order", "--form", "--format", "--n", "--distinct", "--all", "--identity", "--oracle-max",
+        "--terms", "--kind", "--t", "--index", "--out", "--o", "--or", "--f", "--fo", "--te", "--i",
+        "--d", "-h", "--help", "--version", "--", "-", "-1", "-3", "0", "1", "5", "30", "1.5", "0.1",
+        "x", "nan", "1e-300", "canonical", "alt1", "alt2", "csv", "json", "xml", "mex", "moex", "maex",
+        "omex", "largest", "median", "sigma", "sigma-d-mex", "a-d", "distinct", "euler-identity",
+        "thm-sigma-d-mex", "sigma-mex", "sigma-l", "extra", "nope", *_COMMANDS,
+    }
+)
+
+
+class TestParserPerCommand:
+    @settings(max_examples=300, deadline=None)
+    @given(command=st.sampled_from(sorted(_COMMANDS)), rest=st.lists(st.sampled_from(_TOKENS), max_size=7))
+    def test_one_command_parser_equals_the_full_parser(self, command, rest):
+        # parse only: no handler runs, so no series or oracle work is done
+        argv = [command, *rest]
+        assert _outcome(_build_parser(command), argv) == _outcome(_build_parser(None), argv)
+
+    def test_a_named_command_builds_only_its_own_parser(self, capsys):
+        _build_parser.cache_clear()
+        code, out = invoke(capsys, "hrr", "--n", "30", "--terms", "5")
+        assert code == 0 and out.startswith("n,terms,")
+        assert _build_parser.cache_info().currsize == 1
+        parser = _build_parser("hrr")  # the parser run() built, from the cache
+        assert _build_parser.cache_info().hits == 1
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == ["hrr"]
+
+    def test_python_m_qmex_reads_sys_argv(self, capsys):
+        import qmex
+
+        _, want = invoke(capsys, "hrr", "--n", "30", "--terms", "5")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qmex.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = [sys.executable, "-m", "qmex", "hrr", "--n", "30", "--terms", "5"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
