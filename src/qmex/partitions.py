@@ -18,26 +18,27 @@ partitions of n that take it; every sum and count an oracle gives is
 read off those maps. A partition of n is a partition with no part 1 of
 weight n - j plus j ones, where j = 0 or 1 for distinct parts; so
 p(n) - p(n-1) partitions of n have no part 1 (Andrews, The Theory of
-Partitions, 1976). One walk visits the partitions with no part 1 depth
-first by (part k, multiplicity j), parts in decreasing order, and
-fills one tally keyed by their set of parts S, an int bitmask; every
-statistic depends only on the set and is read with bit operations. For
-all parts each count packs one slot per weight up to n, wide enough
-for p(n), and each S is read as it is and with part 1: the census of
-every m <= n, where the p(45) = 89134 partitions with no part 1 and
-weight at most 45 share 8971 sets. For distinct parts the walk keeps
-weight n as S and weight n - 1 as S plus part 1 (bit 1), and the tally
-is read once. One store keeps every census walked, by n and kind: an
-all-parts walk stores the census of every m <= n, and a distinct-parts
-walk the one census of n.
+Partitions, 1976). Every statistic depends only on the set of parts S,
+an int bitmask, and is read with bit operations. One enumerator lists
+every set of parts >= 2 with weight at most n by weight, as a 0/1
+knapsack over the parts, each set with a count. For distinct parts the
+census of each m <= n reads the sets of weight m as they are and those
+of weight m - 1 plus part 1 (bit 1). For all parts a set's count packs
+one slot per weight up to n, wide enough for p(n): its number of
+partitions with no part 1 and exactly the parts S, one big-int product
+per part joined. Each set is read as it is and with part 1, which gives
+the census of every m <= n: the p(45) = 89134 partitions with no part 1
+and weight at most 45 share 8971 sets. One store keeps every census
+enumerated, by n and kind: an enumeration at n stores the census of
+every m <= n.
 The tests check the census field by field, value count by value count,
 against one built from enum_partitions and the tests' per-tuple
-statistics, and against the per-n walk it replaced. A census
-refuses with ValueError, before walking anything, when n has more than
+statistics, and against the per-n walk it replaced. A census refuses
+with ValueError, before enumerating anything, when n has more than
 CENSUS_BUDGET partitions: p(n) for unrestricted partitions (n <= 45)
 and q(n) for distinct parts (n <= 82), both taken exactly from Euler's
-pentagonal recurrence. The walk for all parts counts p(n) partitions,
-the walk for distinct parts q(n).
+pentagonal recurrence. The enumeration at n lists the sets of every
+weight up to n: 8971 at n = 45, and 526385 distinct ones at n = 82.
 
 Conventions for the empty partition: mex = 1, smallest odd excludant
 = 1, largest is 0, and the maximal excludant is 0 (there is no
@@ -52,15 +53,14 @@ import enum
 import math
 from functools import cache
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple
 
-# Most partitions one census may walk. At the top, n = 45, the census
-# of all partitions takes about 0.05 s alone, and so does the census of
-# every n <= 45, as one walk serves them all. For distinct parts, n = 82
-# takes about 0.19 s alone and every n <= 82 about 2.0 s, one walk each
-# (medians of five fresh processes on a 2-core x86 VM with CPython
-# 3.11). Every registry default range fits: p(35) = 14883 and
-# q(40) = 1113.
+# Most partitions of n one census may count. At the top, n = 45, the
+# census of every m <= 45, all parts, takes about 0.03 s, one
+# enumeration for them all; for distinct parts, n = 82 takes about
+# 1.4 s and a 75 MB peak, and serves every m <= 82 (medians of five
+# fresh processes on a 2-core x86 VM with CPython 3.11). Every registry
+# default range fits: p(35) = 14883 and q(40) = 1113.
 CENSUS_BUDGET = 100_000
 
 
@@ -159,48 +159,35 @@ def _stream_sizes(distinct_only: bool) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def _walk(
-    rest: int, top: int, mask: int, distinct_only: bool, tally: dict[int, int], units: Sequence[int]
-) -> None:
-    """Tally each way to add parts top >= k >= 2 to a partition with no part 1.
+def _sets(n: int, step: Callable[[int, int], int]) -> list[list[tuple[int, int]]]:
+    """Every set of parts >= 2 of weight at most n, as (mask, count) pairs by weight.
 
-    mask holds the parts taken so far, all above top, and rest is what
-    is left of n. Each part k from the top down is taken j = 1, 2, ...
-    times (once for distinct parts), and each partition reached adds
-    units[left] to tally[its set of parts], for the left of n it leaves,
-    before the walk goes on to parts below k. Distinct parts count only
-    the partitions that leave 0 or 1, each once, under its set plus
-    part 1 (bit 1) when it leaves 1.
+    A 0/1 knapsack over parts k = 2..n: the sets of weight w whose
+    largest part is k are those of weight w - k with parts below k, each
+    with bit k set and its count passed through step(k, count). Weights are taken downward, so no set
+    takes k twice. The empty set, weight 0, counts 1.
     """
-    for k in range(min(rest, top), 1, -1):
-        if distinct_only and k * (k + 1) // 2 < rest:
-            break  # parts k, k-1, ..., 2 cannot come within 1 of rest
-        with_k = mask | 1 << k
-        left = rest - k
-        while left >= 0:
-            if not distinct_only:
-                tally[with_k] = tally.get(with_k, 0) + units[left]
-            elif left <= 1:
-                tally[with_k | left << 1] = 1  # no other partition has this set
-            if left > 1 and k > 2:
-                _walk(left, k - 1, with_k, distinct_only, tally, units)
-            if distinct_only:
-                break
-            left -= k
+    by_weight: list[list[tuple[int, int]]] = [[(0, 1)]] + [[] for _ in range(n)]
+    for k in range(2, n + 1):
+        bit = 1 << k
+        for w in range(n, k - 1, -1):
+            by_weight[w] += [(mask | bit, step(k, c)) for mask, c in by_weight[w - k]]
+    return by_weight
 
 
-def _read(tally: dict[int, int], one: int = 0) -> _Census:
-    """The census of the sets in tally, each with part 1 added if one is 2, its bit.
+def _read(pairs: list[tuple[int, int]], one: int = 0) -> _Census:
+    """The census of the sets in pairs, each with part 1 added if one is 2, its bit.
 
-    Each set counts tally[set] times, so counts that pack several
+    Each set counts its count times, so counts that pack several
     weights into one int give a packed census. moex is the lowest clear
     bit of mask | evens, with every even bit up to 2 past the largest part.
     """
-    top = (max(tally, default=0) | one).bit_length()  # 1 past the largest part, part 1 too
+    # 1 past the largest part
+    top = (max((mask for mask, _ in pairs), default=0) | one).bit_length()
     evens = sum(1 << i for i in range(0, top + 2, 2))
     census = _Census({}, {}, {}, {}, {})
     mexes, moexes, maexes, largests, smallests = census
-    for mask, c in tally.items():
+    for mask, c in pairs:
         mask |= one
         # ~x & (x + 1) is the lowest clear bit of x; bit 0 is never a part
         x = mask | 1
@@ -235,49 +222,53 @@ def _frozen(census: _Census, shift: int = 0, low: int = -1) -> _Census:
     return _Census(*map(MappingProxyType, cut))
 
 
-def _all_censuses(n: int) -> dict[int, _Census]:
-    """The census of every m <= n, all parts, by m, from one walk.
+def _all_censuses(n: int) -> list[_Census]:
+    """The census of every m <= n, all parts, by m.
 
-    The walk tallies each set of parts with no part 1 once, its count
-    an int with one slot of width bits per weight w <= n. The partitions
+    Each set of parts S >= 2 counts its partitions with no part 1 as an
+    int with one slot of width bits per weight w <= n: part k multiplies
+    the count by runs[k] = q^k + q^2k + ..., cut at q^n. The partitions
     of m are those with no part 1 of weight m, and those of each lower
-    weight plus ones: times above, the second kind moves to every slot
+    weight plus ones: times runs[1], the second kind moves to every slot
     above its own. No slot overflows: each counts partitions with no
     part 1 and weight at most n, no two alike, and those number p(n).
     """
     width = _stream_sizes(False)[n].bit_length()
-    units = [1 << width * (n - left) for left in range(n + 1)]
-    tally = {0: 1}  # the empty partition
-    _walk(n, n, 0, False, tally, units)
-    above = sum(units[:-1])  # slots 1..n
-    packed = _added(_read(tally), _read(tally, 2), above)
-    return {m: _frozen(packed, width * m, (1 << width) - 1) for m in range(n + 1)}
+    low = (1 << width * (n + 1)) - 1  # the slots of weights 0..n
+    runs = {k: sum(1 << width * w for w in range(k, n + 1, k)) for k in range(1, n + 1)}
+    pairs = [pair for sets in _sets(n, lambda k, c: c * runs[k] & low) for pair in sets]
+    packed = _added(_read(pairs), _read(pairs, 2), runs.get(1, 0))  # no ones at n = 0
+    return [_frozen(packed, width * m, (1 << width) - 1) for m in range(n + 1)]
 
 
-def _distinct_census(n: int) -> dict[int, _Census]:
-    """The census of n, distinct parts, by n: weight n with no part 1, and weight n - 1 plus a 1."""
-    tally = {n << 1: 1} if n <= 1 else {}  # the empty partition, plus part 1 when n is 1
-    _walk(n, n, 0, True, tally, ())
-    return {n: _frozen(_read(tally))}
+def _distinct_census(n: int) -> list[_Census]:
+    """The census of every m <= n, distinct parts, by m.
+
+    The partitions of m are the sets of weight m, and those of weight
+    m - 1 plus part 1; every count is 1.
+    """
+    censuses: list[_Census] = []
+    below: list[tuple[int, int]] = []
+    for sets in _sets(n, lambda k, c: c):
+        censuses.append(_frozen(_read(sets + [(mask | 2, c) for mask, c in below])))
+        below = sets
+    return censuses
 
 
-# The censuses walked so far, by (n, distinct_only). An all-parts walk at n
-# stores the census of every m <= n, so a walk is needed only above the
-# largest n stored, as the series store serves lower orders. Distinct
-# parts store one n per walk. One packed walk over a range tallies
-# 526,385 sets at n = 82 against 92,864: a lone census there took 3.4-4.3 s
-# and 183 MB against 0.2-0.35 s and 25 MB (fresh processes, 2-core x86-64
-# VM, Python 3.11), and the range up to 40 gained nothing.
+# The censuses enumerated so far, by (n, distinct_only). An enumeration
+# at n stores the census of every m <= n, of either kind, so one is
+# needed only above the largest n of its kind stored, as the series
+# store serves lower orders.
 _CENSUSES: dict[tuple[int, bool], _Census] = {}
 
 
 def _census(n: int, distinct_only: bool) -> _Census:
-    """Every statistic of the partitions of n, from the store or a new walk.
+    """Every statistic of the partitions of n, from the store or a new enumeration.
 
     A partition of n is a partition with no part 1 of weight n - j plus
-    j ones, where j is 0 or 1 for distinct parts. The walk fills one
-    tally of the partitions with no part 1 by set of parts, bit k for
-    part k, and every statistic is read off it with bit operations.
+    j ones, where j is 0 or 1 for distinct parts. The sets of parts >= 2
+    are listed by weight, bit k for part k, and every statistic is read
+    off them with bit operations.
     """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
@@ -290,8 +281,8 @@ def _census(n: int, distinct_only: bool) -> _Census:
         )
     key = n, distinct_only
     if key not in _CENSUSES:
-        walked = _distinct_census(n) if distinct_only else _all_censuses(n)
-        _CENSUSES.update(((m, distinct_only), census) for m, census in walked.items())
+        censuses = _distinct_census(n) if distinct_only else _all_censuses(n)
+        _CENSUSES.update(((m, distinct_only), census) for m, census in enumerate(censuses))
     return _CENSUSES[key]
 
 

@@ -345,7 +345,7 @@ class TestOrderCap:
         def no_walk(*args):
             raise AssertionError("census walked")
 
-        monkeypatch.setattr(partitions, "_walk", no_walk)
+        monkeypatch.setattr(partitions, "_sets", no_walk)
         # --order 8000 is within the cap; --oracle-max 46 is over the all-parts budget
         code, out = invoke(capsys, "verify", "--all", "--order", "8000", "--oracle-max", "46")
         assert (code, out) == (2, "")
@@ -368,7 +368,7 @@ class TestOrderCap:
             raise AssertionError("census walked")
 
         monkeypatch.setattr(partitions, "_CENSUSES", {})
-        monkeypatch.setattr(partitions, "_walk", no_walk)
+        monkeypatch.setattr(partitions, "_sets", no_walk)
         code = run(["verify", "--identity", *argv])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")

@@ -280,7 +280,7 @@ class TestScans:
         def no_work(*args):
             raise AssertionError("work done")
 
-        monkeypatch.setattr(partitions, "_walk", no_work)
+        monkeypatch.setattr(partitions, "_sets", no_work)
         monkeypatch.setattr(qfunctions, "_nested_sum", no_work)
         monkeypatch.setattr(qfunctions, "_euler_product", no_work)
         with pytest.raises(ValueError, match="outside the supported range"):

@@ -1,5 +1,6 @@
 """Tests for partition enumeration and the excludant statistics."""
 
+import itertools
 import math
 import random
 from types import MappingProxyType
@@ -263,9 +264,9 @@ class TestCensus:
         )
     )
     def test_one_store_walks_only_what_it_lacks(self, reads):
-        # from an empty store, mixed reads walk all parts only above the largest
-        # all-parts n read so far and distinct parts only at a new n
-        walks, want_walks, top, seen = [], [], -1, set()
+        # from an empty store, mixed reads walk each kind only above the largest
+        # n of that kind read so far
+        walks, want_walks, tops = [], [], {False: -1, True: -1}
         all_censuses, distinct_census = partitions._all_censuses, partitions._distinct_census
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(partitions, "_CENSUSES", {})
@@ -273,27 +274,65 @@ class TestCensus:
             mp.setattr(partitions, "_distinct_census", lambda n: walks.append((n, True)) or distinct_census(n))
             for n, distinct_only in reads:
                 assert _census(n, distinct_only) == census_oracle.census(n, distinct_only), (n, distinct_only)
-                if distinct_only and n not in seen:
-                    seen.add(n)
-                    want_walks.append((n, True))
-                elif not distinct_only and n > top:
-                    top = n
-                    want_walks.append((n, False))
+                if n > tops[distinct_only]:
+                    tops[distinct_only] = n
+                    want_walks.append((n, distinct_only))
                 assert walks == want_walks, reads
 
     @pytest.mark.parametrize(
         ("distinct_only", "n", "reads"),
-        [(True, 0, 1), (True, 1, 1), (True, 2, 1), (True, 40, 1), (False, 0, 2), (False, 30, 2)],
+        [(True, 0, 1), (True, 1, 2), (True, 2, 3), (True, 40, 41), (False, 0, 2), (False, 30, 2)],
     )
     def test_one_read_per_distinct_census_and_two_per_all_parts_walk(self, monkeypatch, distinct_only, n, reads):
-        # a distinct walk tallies weight n - 1 plus a 1 under its set with part 1, so one
-        # read serves both weights; the all-parts tally is read for S and S with part 1
+        # a distinct walk at n reads the census of each m <= n once, the sets of weight m
+        # and of m - 1 plus part 1 in one list; the all-parts sets are read for S and S
+        # with part 1, which serves every m <= n
         calls = []
         read = partitions._read
         monkeypatch.setattr(partitions, "_CENSUSES", {})
         monkeypatch.setattr(partitions, "_read", lambda *args: calls.append(args) or read(*args))
         assert _census(n, distinct_only) == census_oracle.census(n, distinct_only)
         assert len(calls) == reads
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(0, 25))
+    @example(n=0)
+    @example(n=25)
+    def test_sets_list_each_set_once_with_its_partitions(self, n):
+        # every set of distinct parts >= 2 of weight w <= n once, under w, from both
+        # censuses' enumerations; a set's all-parts count holds, in the slot of each
+        # weight m, its partitions of m with no part 1 and exactly its parts
+        listed = {}
+        sets = partitions._sets
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partitions, "_sets", lambda *args: listed.setdefault(len(listed), sets(*args)))
+            partitions._all_censuses(n)
+            partitions._distinct_census(n)
+        want_masks = [[] for _ in range(n + 1)]
+        # r distinct parts >= 2 weigh at least 2 + 3 + ... + (r + 1) = r(r + 3)/2
+        for r in itertools.takewhile(lambda r: r * (r + 3) // 2 <= n, itertools.count()):
+            for parts in itertools.combinations(range(2, n + 1), r):
+                if sum(parts) <= n:
+                    want_masks[sum(parts)].append(sum(1 << k for k in parts))
+        for by_weight in listed.values():
+            assert len(by_weight) == n + 1
+            for w, pairs in enumerate(by_weight):
+                masks = [mask for mask, _ in pairs]
+                assert len(masks) == len(set(masks)), (n, w)
+                assert sorted(masks) == sorted(want_masks[w]), (n, w)
+        want_counts = {}
+        for m in range(n + 1):
+            for p in enum_partitions(m):
+                if 1 not in p:
+                    slots = want_counts.setdefault(sum(1 << k for k in set(p)), [0] * (n + 1))
+                    slots[m] += 1
+        all_parts, distinct = listed[0], listed[1]
+        width = _stream_sizes(False)[n].bit_length()
+        for pairs in all_parts:
+            for mask, count in pairs:
+                got = [count >> width * m & (1 << width) - 1 for m in range(n + 1)]
+                assert got == want_counts[mask] and count >> width * (n + 1) == 0, (n, mask)
+        assert all(count == 1 for pairs in distinct for _, count in pairs)
 
     @pytest.mark.parametrize("distinct_only", [False, True])
     def test_walk_equals_reference_census_at_budget_top(self, distinct_only):
@@ -352,7 +391,7 @@ class TestOverBudgetRefused:
 
         partitions._CENSUSES.clear()
         monkeypatch.setattr(partitions, "enum_partitions", refuse)
-        monkeypatch.setattr(partitions, "_walk", refuse)
+        monkeypatch.setattr(partitions, "_sets", refuse)
 
     @pytest.mark.parametrize(
         "argv",
