@@ -58,7 +58,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple
 # Most partitions of n one census may count. At the top, n = 45, the
 # census of every m <= 45, all parts, takes about 0.03 s, one
 # enumeration for them all; for distinct parts, n = 82 takes about
-# 1.4 s and a 75 MB peak, and serves every m <= 82 (medians of five
+# 1.6 s and a 74 MB peak, and serves every m <= 82 (medians of five
 # fresh processes on a 2-core x86 VM with CPython 3.11). Every registry
 # default range fits: p(35) = 14883 and q(40) = 1113.
 CENSUS_BUDGET = 100_000
@@ -164,8 +164,9 @@ def _sets(n: int, step: Callable[[int, int], int]) -> list[list[tuple[int, int]]
 
     A 0/1 knapsack over parts k = 2..n: the sets of weight w whose
     largest part is k are those of weight w - k with parts below k, each
-    with bit k set and its count passed through step(k, count). Weights are taken downward, so no set
-    takes k twice. The empty set, weight 0, counts 1.
+    with bit k set and its count passed through step(k, count). Weights
+    are taken downward, so no set takes k twice. The empty set, weight 0,
+    counts 1.
     """
     by_weight: list[list[tuple[int, int]]] = [[(0, 1)]] + [[] for _ in range(n)]
     for k in range(2, n + 1):
@@ -175,20 +176,18 @@ def _sets(n: int, step: Callable[[int, int], int]) -> list[list[tuple[int, int]]
     return by_weight
 
 
-def _read(pairs: list[tuple[int, int]], one: int = 0) -> _Census:
-    """The census of the sets in pairs, each with part 1 added if one is 2, its bit.
+def _read(pairs: list[tuple[int, int]]) -> _Census:
+    """The census of the sets in pairs, bit k for part k.
 
     Each set counts its count times, so counts that pack several
     weights into one int give a packed census. moex is the lowest clear
     bit of mask | evens, with every even bit up to 2 past the largest part.
     """
-    # 1 past the largest part
-    top = (max((mask for mask, _ in pairs), default=0) | one).bit_length()
+    top = max((mask for mask, _ in pairs), default=0).bit_length()  # 1 past the largest part
     evens = sum(1 << i for i in range(0, top + 2, 2))
     census = _Census({}, {}, {}, {}, {})
     mexes, moexes, maexes, largests, smallests = census
     for mask, c in pairs:
-        mask |= one
         # ~x & (x + 1) is the lowest clear bit of x; bit 0 is never a part
         x = mask | 1
         m = (~x & (x + 1)).bit_length() - 1
@@ -237,7 +236,8 @@ def _all_censuses(n: int) -> list[_Census]:
     low = (1 << width * (n + 1)) - 1  # the slots of weights 0..n
     runs = {k: sum(1 << width * w for w in range(k, n + 1, k)) for k in range(1, n + 1)}
     pairs = [pair for sets in _sets(n, lambda k, c: c * runs[k] & low) for pair in sets]
-    packed = _added(_read(pairs), _read(pairs, 2), runs.get(1, 0))  # no ones at n = 0
+    with_one = [(mask | 2, c) for mask, c in pairs]
+    packed = _added(_read(pairs), _read(with_one), runs.get(1, 0))  # no ones at n = 0
     return [_frozen(packed, width * m, (1 << width) - 1) for m in range(n + 1)]
 
 
