@@ -38,7 +38,8 @@ with ValueError, before enumerating anything, when n has more than
 CENSUS_BUDGET partitions: p(n) for unrestricted partitions (n <= 45)
 and q(n) for distinct parts (n <= 82), both taken exactly from Euler's
 pentagonal recurrence. The enumeration at n lists the sets of every
-weight up to n: 8971 at n = 45, and 526385 distinct ones at n = 82.
+weight up to n: 8971 at 45, the all-parts top, and 526385 at 82, the
+distinct top.
 
 Conventions for the empty partition: mex = 1, smallest odd excludant
 = 1, largest is 0, and the maximal excludant is 0 (there is no

@@ -1,10 +1,10 @@
 """The tests' own reads of partitions, as oracles for qmex.partitions.
 
-qmex.partitions._census walks only the partitions with no part 1 and
-adds the ones afterwards; for all parts, one walk packs every weight up
-to n. The census here is the one it replaced: one walk per n over every
-partition of n, part 1 included, tallied by set of parts and read once
-per set.
+qmex.partitions._census lists only the sets of parts with no part 1,
+by weight, and adds the ones afterwards; for all parts, each set's count
+packs every weight up to n. The census here is the walk it replaced:
+one walk per n over every partition of n, part 1 included, tallied by
+set of parts and read once per set.
 
 mex, moex and maex read one partition, a tuple of parts as
 enum_partitions yields it: the tests' own definition of each statistic,
