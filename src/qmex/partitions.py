@@ -21,16 +21,16 @@ p(n) - p(n-1) partitions of n have no part 1 (Andrews, The Theory of
 Partitions, 1976). Every statistic depends only on the set of parts S,
 an int bitmask, and is read with bit operations. One enumerator lists
 every set of parts >= 2 with weight at most n by weight, as a 0/1
-knapsack over the parts, each set with a count. For distinct parts the
-census of each m <= n reads the sets of weight m as they are and those
-of weight m - 1 plus part 1 (bit 1). For all parts a set's count packs
+knapsack over the parts, each set with a count. Each set is read once,
+as it is for its own weight and plus part 1 (bit 1) for the next. For
+distinct parts the census of each m <= n adds the sets of weight m to
+those of weight m - 1 plus part 1. For all parts a set's count packs
 one slot per weight up to n, wide enough for p(n): its number of
 partitions with no part 1 and exactly the parts S, one big-int product
-per part joined. Each set is read as it is and with part 1, which gives
-the census of every m <= n: the p(45) = 89134 partitions with no part 1
-and weight at most 45 share 8971 sets. One store keeps every census
-enumerated, by n and kind: an enumeration at n stores the census of
-every m <= n.
+per part joined, and its one read gives the census of every m <= n:
+the p(45) = 89134 partitions with no part 1 and weight at most 45
+share 8971 sets. One store keeps every census enumerated, by n and
+kind: an enumeration at n stores the census of every m <= n.
 The tests check the census field by field, value count by value count,
 against one built from enum_partitions and the tests' per-tuple
 statistics, and against the per-n walk it replaced. A census refuses
@@ -59,7 +59,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple
 # Most partitions of n one census may count. At the top, n = 45, the
 # census of every m <= 45, all parts, takes about 0.03 s, one
 # enumeration for them all; for distinct parts, n = 82 takes about
-# 1.6 s and a 74 MB peak, and serves every m <= 82 (medians of five
+# 1.0 s and a 69 MB peak, and serves every m <= 82 (medians of five
 # fresh processes on a 2-core x86 VM with CPython 3.11). Every registry
 # default range fits: p(35) = 14883 and q(40) = 1113.
 CENSUS_BUDGET = 100_000
@@ -177,24 +177,30 @@ def _sets(n: int, step: Callable[[int, int], int]) -> list[list[tuple[int, int]]
     return by_weight
 
 
-def _read(pairs: list[tuple[int, int]]) -> _Census:
-    """The census of the sets in pairs, bit k for part k.
+def _read(pairs: list[tuple[int, int]]) -> tuple[_Census, _Census]:
+    """The censuses of the sets in pairs, bit k for part k: as they are, and plus part 1.
 
-    Each set counts its count times, so counts that pack several
-    weights into one int give a packed census. moex is the lowest clear
-    bit of mask | evens, with every even bit up to 2 past the largest part.
+    Each set is read once for both, its count times, so packed counts
+    give packed censuses. Per set, bit operations read the largest part,
+    the smallest part and maex of S, and mex and moex of S plus part 1
+    (moex: the lowest clear bit of mask | evens, which has bit 1 and
+    every even bit up to 2 past the largest part of S plus part 1). The
+    rest follow in bulk: S has mex and moex 1; S plus part 1 has
+    smallest part 1, the largest part of S (1 for the empty set), and
+    the maex of S, but 0 for 1, as part 1 fills the only gap.
     """
-    top = max((mask for mask, _ in pairs), default=0).bit_length()  # 1 past the largest part
-    evens = sum(1 << i for i in range(0, top + 2, 2))
-    census = _Census({}, {}, {}, {}, {})
-    mexes, moexes, maexes, largests, smallests = census
+    # 1 past the largest part of S plus part 1
+    top = max(max((mask for mask, _ in pairs), default=0).bit_length(), 2)
+    evens = 2 | sum(1 << i for i in range(0, top + 2, 2))
+    # mex and moex of S plus part 1, the rest of S
+    mexes, moexes, maexes, largests, smallests = tallies = _Census({}, {}, {}, {}, {})
     for mask, c in pairs:
         # ~x & (x + 1) is the lowest clear bit of x; bit 0 is never a part
-        x = mask | 1
+        x = mask | 3
         m = (~x & (x + 1)).bit_length() - 1
-        largest = x.bit_length() - 1
         x = mask | evens
         mo = (~x & (x + 1)).bit_length() - 1
+        largest = (mask | 1).bit_length() - 1
         # bit 0 of ~mask stands for the excludant 0, the floor of maex
         ma = ((~mask & ((1 << largest) - 1)) | 1).bit_length() - 1
         smallest = (mask & -mask).bit_length() - 1 if mask else math.inf
@@ -203,7 +209,18 @@ def _read(pairs: list[tuple[int, int]]) -> _Census:
         maexes[ma] = maexes.get(ma, 0) + c
         largests[largest] = largests.get(largest, 0) + c
         smallests[smallest] = smallests.get(smallest, 0) + c
-    return census
+    ones = {1: sum(smallests.values())} if pairs else {}  # every set has one smallest part
+    plain = tallies._replace(mex=ones, moex=ones)
+    with_one = _Census(mexes, moexes, _moved(maexes, 1, 0), _moved(largests, 0, 1), ones)
+    return plain, with_one
+
+
+def _moved(counts: dict[int, int], old: int, new: int) -> dict[int, int]:
+    """A copy of counts with the count of value old added to that of value new."""
+    moved = dict(counts)
+    if old in moved:
+        moved[new] = moved.get(new, 0) + moved.pop(old)
+    return moved
 
 
 def _added(a: _Census, b: _Census, times: int) -> _Census:
@@ -237,8 +254,7 @@ def _all_censuses(n: int) -> list[_Census]:
     low = (1 << width * (n + 1)) - 1  # the slots of weights 0..n
     runs = {k: sum(1 << width * w for w in range(k, n + 1, k)) for k in range(1, n + 1)}
     pairs = [pair for sets in _sets(n, lambda k, c: c * runs[k] & low) for pair in sets]
-    with_one = [(mask | 2, c) for mask, c in pairs]
-    packed = _added(_read(pairs), _read(with_one), runs.get(1, 0))  # no ones at n = 0
+    packed = _added(*_read(pairs), runs.get(1, 0))  # no ones at n = 0
     return [_frozen(packed, width * m, (1 << width) - 1) for m in range(n + 1)]
 
 
@@ -249,10 +265,11 @@ def _distinct_census(n: int) -> list[_Census]:
     m - 1 plus part 1; every count is 1.
     """
     censuses: list[_Census] = []
-    below: list[tuple[int, int]] = []
+    below = _Census({}, {}, {}, {}, {})  # the sets of weight m - 1 plus part 1
     for sets in _sets(n, lambda k, c: c):
-        censuses.append(_frozen(_read(sets + [(mask | 2, c) for mask, c in below])))
-        below = sets
+        plain, with_one = _read(sets)
+        censuses.append(_frozen(_added(plain, below, 1)))
+        below = with_one
     return censuses
 
 

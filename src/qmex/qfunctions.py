@@ -431,8 +431,9 @@ def _slices(
 
     MEX, None  tail (-q^{k+1};q)_inf: distinct_gen divided by (1 + q^k)
     MOEX       (-q;q)_inf / (-q;q^2)_{k+1}: divided by (1 + q^{2k+1})
-    MAEX       prefix (-q;q)_{k-1}: times (1 + q^{k-1}), then added at
-               each exponent of T_k
+    MAEX       prefix (-q;q)_{k-1}: times (1 + q^{k-1}); the body is a
+               copy of it, for the first exponent of T_k, low = k + 1,
+               plus it added at each later one
 
     OMEX has no stream: its slice k is MEX slice 2k+1. Below start the
     list only steps. A body may be the running list itself, so read it
@@ -457,8 +458,10 @@ def _slices(
             continue
         body = run
         if maex:
-            body = [0] * len(run)
-            for e in _maex_exponents(k, order):
+            exponents = _maex_exponents(k, order)
+            next(exponents)  # low itself: the body starts as a copy of the prefix
+            body = run.copy()
+            for e in exponents:
                 body[e - low :] = [x + y for x, y in zip(body[e - low :], run)]
         yield k, low, body
 

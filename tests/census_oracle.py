@@ -4,7 +4,8 @@ qmex.partitions._census lists only the sets of parts with no part 1,
 by weight, and adds the ones afterwards; for all parts, each set's count
 packs every weight up to n. The census here is the walk it replaced:
 one walk per n over every partition of n, part 1 included, tallied by
-set of parts and read once per set.
+set of parts and read once per set by read_sets, the read of every
+statistic of a set from its own bits that _read replaced.
 
 mex, moex and maex read one partition, a tuple of parts as
 enum_partitions yields it: the tests' own definition of each statistic,
@@ -44,21 +45,26 @@ def walk(rest: int, top: int, mask: int, distinct_only: bool, tally: dict[int, i
         tally[leaf] = tally.get(leaf, 0) + 1
 
 
-def _lowest_clear(x: int) -> int:
-    return (~x & (x + 1)).bit_length() - 1
+def read_sets(pairs: list[tuple[int, int]]) -> _Census:
+    """The census of the sets in pairs, bit k for part k, each set read on its own.
 
-
-def census(n: int, distinct_only: bool) -> _Census:
-    """How many partitions of n take each value of each statistic, from one walk over them."""
-    tally: dict[int, int] = {}
-    walk(n, n, 0, distinct_only, tally)
-    evens = sum(1 << i for i in range(0, n + 4, 2))  # moex <= n + 2 is odd
+    The read qmex.partitions._read replaced, which reads the sets with
+    part 1 from their own list: every statistic of every set from its
+    bits. Each set counts its count times, so packed counts give a
+    packed census. moex is the lowest clear bit of mask | evens, with
+    every even bit up to 2 past the largest part.
+    """
+    top = max((mask for mask, _ in pairs), default=0).bit_length()  # 1 past the largest part
+    evens = sum(1 << i for i in range(0, top + 2, 2))
     census = _Census({}, {}, {}, {}, {})
     mexes, moexes, maexes, largests, smallests = census
-    for mask, c in tally.items():
-        m = _lowest_clear(mask | 1)
-        mo = _lowest_clear(mask | evens)
-        largest = max(mask.bit_length() - 1, 0)
+    for mask, c in pairs:
+        # ~x & (x + 1) is the lowest clear bit of x; bit 0 is never a part
+        x = mask | 1
+        m = (~x & (x + 1)).bit_length() - 1
+        largest = x.bit_length() - 1
+        x = mask | evens
+        mo = (~x & (x + 1)).bit_length() - 1
         # bit 0 of ~mask stands for the excludant 0, the floor of maex
         ma = ((~mask & ((1 << largest) - 1)) | 1).bit_length() - 1
         smallest = (mask & -mask).bit_length() - 1 if mask else math.inf
@@ -67,7 +73,14 @@ def census(n: int, distinct_only: bool) -> _Census:
         maexes[ma] = maexes.get(ma, 0) + c
         largests[largest] = largests.get(largest, 0) + c
         smallests[smallest] = smallests.get(smallest, 0) + c
-    return _Census(*map(MappingProxyType, census))
+    return census
+
+
+def census(n: int, distinct_only: bool) -> _Census:
+    """How many partitions of n take each value of each statistic, from one walk over them."""
+    tally: dict[int, int] = {}
+    walk(n, n, 0, distinct_only, tally)
+    return _Census(*map(MappingProxyType, read_sets(list(tally.items()))))
 
 
 def mex(parts: tuple[int, ...]) -> int:

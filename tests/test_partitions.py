@@ -281,18 +281,49 @@ class TestCensus:
 
     @pytest.mark.parametrize(
         ("distinct_only", "n", "reads"),
-        [(True, 0, 1), (True, 1, 2), (True, 2, 3), (True, 40, 41), (False, 0, 2), (False, 30, 2)],
+        [(True, 0, 1), (True, 1, 2), (True, 2, 3), (True, 40, 41), (False, 0, 1), (False, 30, 1)],
     )
-    def test_one_read_per_distinct_census_and_two_per_all_parts_walk(self, monkeypatch, distinct_only, n, reads):
-        # a distinct walk at n reads the census of each m <= n once, the sets of weight m
-        # and of m - 1 plus part 1 in one list; the all-parts sets are read for S and S
-        # with part 1, which serves every m <= n
+    def test_one_read_per_distinct_weight_and_one_per_all_parts_walk(self, monkeypatch, distinct_only, n, reads):
+        # a distinct walk at n reads the sets of each weight m <= n once, for the census
+        # of m and, plus part 1, for that of m + 1; the all-parts sets are read once for
+        # S and S with part 1, which serves every m <= n
         calls = []
         read = partitions._read
         monkeypatch.setattr(partitions, "_CENSUSES", {})
         monkeypatch.setattr(partitions, "_read", lambda *args: calls.append(args) or read(*args))
         assert _census(n, distinct_only) == census_oracle.census(n, distinct_only)
         assert len(calls) == reads
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.sets(st.integers(2, 40)).map(lambda parts: sum(1 << k for k in parts)),
+                st.one_of(
+                    st.just(1),
+                    # several 16-bit slots packed into one int, as an all-parts count
+                    st.lists(st.integers(1, 0xFFFF), min_size=2, max_size=6).map(
+                        lambda slots: sum(c << 16 * i for i, c in enumerate(slots))
+                    ),
+                ),
+            ),
+            max_size=30,
+        )
+    )
+    @example(pairs=[])
+    @example(pairs=[(0, 1)])  # the empty set: with part 1, {1} has moex 3 and largest part 1
+    @example(pairs=[(0b100, 1)])  # {2}
+    @example(pairs=[(0b11100, 1)])  # {2, 3, 4}: maex 1, and 0 with part 1
+    @example(pairs=[(0b1000, 1)])  # {3}
+    def test_one_read_gives_the_sets_as_they_are_and_plus_part_one(self, pairs):
+        # each set read once gives both censuses; the read it replaced reads every
+        # statistic of every set, and of every set plus part 1, from its own bits
+        plain, with_one = partitions._read(pairs)
+        want_plain = census_oracle.read_sets(pairs)
+        want_with_one = census_oracle.read_sets([(mask | 2, c) for mask, c in pairs])
+        for got, want in ((plain, want_plain), (with_one, want_with_one)):
+            for field, g, w in zip(_Census._fields, got, want):
+                assert dict(g) == dict(w), (field, pairs)
 
     @settings(max_examples=10, deadline=None)
     @given(n=st.integers(0, 25))

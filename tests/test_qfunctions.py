@@ -51,7 +51,7 @@ from qmex.series import (
     _shift_inplace,
     poch,
 )
-from route_oracle import old_horner_sigma_d_maex, old_runs_chern
+from route_oracle import old_horner_sigma_d_maex, old_maex_slices, old_runs_chern
 
 
 def fraction_sigma(order):
@@ -594,6 +594,13 @@ class TestTruncationEdges:
             assert lo.coefficient(n) == hi.coefficient(n)
 
 
+def maex_slices_checked(order):
+    """Every maex slice of _slices at order, after checking it against the zero-start loop."""
+    got = list(qfunctions._slices(RefinedKind.MAEX, order))
+    assert got == list(old_maex_slices(order)), order
+    return got
+
+
 class TestRefined:
     def test_mex_slice_example(self):
         assert refined_series(5, RefinedKind.MEX, 1).coefficients() == (1, 0, 1, 1, 1, 2)
@@ -633,6 +640,22 @@ class TestRefined:
         assert ks == list(range(1, 60))
         # the stream stops where the slices vanish
         assert not any(refined_series(60, RefinedKind.MAEX, 60).coefficients())
+
+    def test_maex_slice_bodies_equal_the_zero_start_loop(self):
+        single = 0
+        for order in range(81):
+            for k, _, _ in maex_slices_checked(order):
+                # T_k has one exponent, k + 1, while its second, 2k + 3, is past the order
+                single += 2 * k + 3 > order
+        assert single > 0
+        assert maex_slices_checked(0) == maex_slices_checked(1) == []
+        assert maex_slices_checked(2) == [(1, 2, [1])]
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(81, 400))
+    @example(400)
+    def test_maex_slice_bodies_equal_the_zero_start_loop_property(self, order):
+        maex_slices_checked(order)
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
