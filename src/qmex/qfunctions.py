@@ -18,10 +18,15 @@ over distinct parts is no such sum: it runs forward over the number of
 parts, two divisions a step.
 
 The slices of the refined families come from one running quotient per
-family (_slices): the tail (-q^{m+1};q)_inf of a mex slice is the
-previous tail divided by (1 + q^m), O(order) a step. The identity
-registry's slice sums (_sliced) add weight times each slice off that
-stream into one list.
+family (_slices), held as one packed int with coefficient j in slot j
+of w bytes, as in series._kronecker_mul: the tail (-q^{m+1};q)_inf of
+a mex slice is the previous tail divided by (1 + q^m), O(log(order/m))
+big-int shifts and adds a step, and each slice body is one int too.
+The slot width comes from the order and the weights (_slot_bytes),
+since a slice coefficient counts distinct partitions of n <= order and
+so is at most Q(n) <= e^{pi sqrt(n/3)}. The identity registry's slice
+sums (_sliced) add weight times each body into one int and unpack it
+once.
 
 1/(q;q)_inf is stored once (partition_gen), the inverse of a series
 that Euler's pentagonal theorem makes sparse (_euler_product);
@@ -46,8 +51,9 @@ partitions.
 from __future__ import annotations
 
 import enum
+import math
 from functools import wraps
-from itertools import count
+from itertools import count, takewhile
 from typing import Callable, Iterator, NamedTuple
 
 from .partitions import _pentagonal
@@ -420,49 +426,96 @@ _FAMILIES: dict[RefinedKind | None, tuple[int, Callable[[int], int]]] = {
 }
 
 
+def _slot_bytes(order: int, weight_total: int) -> int:
+    """Bytes w of a slot that holds any coefficient of a slice sum at order, signed.
+
+    Every coefficient of a slice counts distinct partitions of some
+    n <= order, so it is at most Q(n) <= e^{pi sqrt(n/3)}: at x = e^{-t},
+    Q(n) x^n <= (-x;x)_inf <= e^{pi^2/12t}, and t = pi/sqrt(12n) gives
+    the bound. A sum of weight(k) times slice k is at most
+    weight_total = sum |weight(k)| times that, the sum running over every
+    k whose slice starts at or below the order. One more bit for the
+    sign and one spare keep it below the 2^(8w-1) that _unpack reads.
+    """
+    bits = math.ceil(math.pi * math.sqrt(order / 3) / math.log(2)) + weight_total.bit_length() + 2
+    return -(-bits // 8)
+
+
+def _pack(coefficients, w: int) -> int:
+    """Coefficients 0 <= c < 2^(8w) as one int, coefficient j in slot j of w bytes."""
+    return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in coefficients]), "little")
+
+
+def _unpack(packed: int, length: int, w: int) -> list[int]:
+    """The length signed w-byte slots of packed mod 2^(8w length), lowest first.
+
+    As in series._kronecker_mul, h = 2^(8w-1) is added to every slot,
+    which holds each coefficient in [-h, h) at [0, 2h): no borrow
+    crosses a slot, and h comes off each slot as it is read.
+    """
+    h = 1 << (8 * w - 1)
+    bias = int.from_bytes(h.to_bytes(w, "little") * length, "little")
+    raw = ((packed + bias) & ((1 << 8 * w * length) - 1)).to_bytes(w * length, "little")
+    return [int.from_bytes(raw[i : i + w], "little") - h for i in range(0, w * length, w)]
+
+
 def _slices(
-    kind: RefinedKind | None, order: int, start: int = 0
-) -> Iterator[tuple[int, int, list[int]]]:
+    kind: RefinedKind | None, order: int, w: int, start: int = 0
+) -> Iterator[tuple[int, int, int]]:
     """Yield (k, low, body) for every slice k >= start of a family nonzero at order.
 
-    Slice k is q^low * body: low is its lowest exponent, body holds its
-    coefficients 0..order - low. One running list, cut to the length the
-    next slice needs, steps from each slice to the next:
+    Slice k is q^low * body: low is its lowest exponent, and body packs
+    its coefficients 0..order - low, coefficient j in slot j of w bytes
+    (_pack), mod 2^(8w (order + 1 - low)); _unpack reads them back.
+    q -> 2^(8w) carries every step of the ring Z[q]/(q^(order + 1 - low))
+    to the integers mod that power of two, so only the coefficients read
+    at the end must fit a slot (_slot_bytes), not any reached on the way.
+    One running int, cut to the slots the next slice needs, steps from
+    each slice to the next:
 
     MEX, None  tail (-q^{k+1};q)_inf: distinct_gen divided by (1 + q^k)
     MOEX       (-q;q)_inf / (-q;q^2)_{k+1}: divided by (1 + q^{2k+1})
-    MAEX       prefix (-q;q)_{k-1}: times (1 + q^{k-1}); the body is a
-               copy of it, for the first exponent of T_k, low = k + 1,
-               plus it added at each later one
+    MAEX       prefix (-q;q)_{k-1}: times (1 + q^{k-1}); the body is it,
+               for the first exponent of T_k, low = k + 1, plus it
+               shifted to each later one and cut
 
-    OMEX has no stream: its slice k is MEX slice 2k+1. Below start the
-    list only steps. A body may be the running list itself, so read it
-    before the next item.
+    A product by 1 + x, x = q^m, is one shift, one add and one cut (an
+    AND with the all-ones mask of the slots kept). A division by it is
+    a product by (1 + x^2)(1 + x^4)... = 1/(1 - x^2), one such step per
+    factor while the shift stays below the cut, and then by 1 - x:
+    O(log(order / m)) steps on ints of O(w order) bytes. OMEX has no
+    stream: its slice k is MEX slice 2k+1. Below start the int only
+    steps.
     """
     first, lowest = _FAMILIES[kind]
     maex = kind is RefinedKind.MAEX
-    run = [1] + [0] * order if maex else list(distinct_gen(order).coefficients())
+    bits = 8 * w
+    run = 1 if maex else _pack(distinct_gen(order).coefficients(), w)
     for k in count(first):
         low = lowest(k)
         if low > order:
             return
-        del run[order + 1 - low :]
+        cut = (1 << bits * (order + 1 - low)) - 1
         if maex:
             if k > 1:
-                _mul_binomial_inplace(run, 1, k - 1)
-        elif kind is RefinedKind.MOEX:
-            _div_binomial_inplace(run, 1, 2 * k + 1)
-        elif k:
-            _div_binomial_inplace(run, 1, k)
+                run = (run + (run << bits * (k - 1))) & cut
+        else:
+            m = 2 * k + 1 if kind is RefinedKind.MOEX else k
+            if m:
+                # times (1 + x^2)(1 + x^4)... = 1 / (1 - x^2), then times 1 - x
+                s = 2 * m
+                while s <= order - low:
+                    run += (run << bits * s) & cut
+                    s *= 2
+                run = (run - ((run << bits * m) & cut)) & cut
         if k < start:
             continue
         body = run
         if maex:
             exponents = _maex_exponents(k, order)
-            next(exponents)  # low itself: the body starts as a copy of the prefix
-            body = run.copy()
+            next(exponents)  # low itself: the body starts as the prefix
             for e in exponents:
-                body[e - low :] = [x + y for x, y in zip(body[e - low :], run)]
+                body += (run << bits * (e - low)) & cut
         yield k, low, body
 
 
@@ -470,31 +523,42 @@ def _sliced(kind: RefinedKind | None, weight: Callable[[int], int]) -> Callable[
     """sum_k weight(k) * slice k of a family (None: the mex > i tails of dcount_series).
 
     Every slice nonzero at the order comes from the running quotients of
-    _slices and, unless its weight is 0, is added into one list: a route
-    apart from the aggregate builders, which sum q-series terms and
-    multiply.
+    _slices and, unless its weight is 0, is added as weight(k) * body,
+    shifted to its lowest exponent, into one int, which is unpacked once
+    at the end: a route apart from the aggregate builders, which sum
+    q-series terms and multiply. The slots are wide enough for
+    sum |weight(k)| * Q(order), the sum over every k whose slice starts
+    at or below the order (_slot_bytes). Each add is a multiply, a shift
+    and an add of O(w order) bytes.
     """
 
     def build(order: int) -> IntSeries:
-        total = [0] * (order + 1)
-        for k, low, body in _slices(kind, order):
-            w = weight(k)
-            if w:
-                total[low:] = [t + w * v for t, v in zip(total[low:], body)]
-        return IntSeries._trusted(total)
+        first, lowest = _FAMILIES[kind]
+        weights = [weight(k) for k in takewhile(lambda k: lowest(k) <= order, count(first))]
+        w = _slot_bytes(order, sum(map(abs, weights)))
+        total = 0
+        for k, low, body in _slices(kind, order, w):
+            if weights[k - first]:
+                total += weights[k - first] * body << 8 * w * low
+        return IntSeries._trusted(_unpack(total, order + 1, w))
 
     return build
 
 
 def _slice(kind: RefinedKind | None, index: int, order: int) -> IntSeries:
-    """Slice index of a family; past the last nonzero slice it is zero at once."""
+    """Slice index of a family; past the last nonzero slice it is zero at once.
+
+    The stream runs at the width of one slice (_slot_bytes with weight
+    total 1) up to index, and its one body is unpacked.
+    """
     first, lowest = _FAMILIES[kind]
     if index < first:
         raise ValueError(f"{kind.value if kind else 'dcount'} slice index must be >= {first}")
     c = [0] * (order + 1)
     if lowest(index) <= order:
-        _, low, body = next(_slices(kind, order, index))
-        c[low:] = body
+        w = _slot_bytes(order, 1)
+        _, low, body = next(_slices(kind, order, w, index))
+        c[low:] = _unpack(body, order + 1 - low, w)
     return IntSeries._trusted(c)
 
 
@@ -511,11 +575,13 @@ def refined_series(order: int, kind: RefinedKind, index: int) -> IntSeries:
     MAEX k>=1  partitions with maximal excludant k:
                (-q;q)_{k-1} sum_{m>=1} q^{m(m+1)/2 + km}
 
-    Slice k takes about k steps of one running quotient of _slices,
-    O(order) a step, so O(k * order); a slice starting past the order
-    is zero without a step. OMEX slice k is MEX slice 2k+1, and a MEX
-    tail is distinct_gen divided by one (1 + q^m) per m. Weighted sums
-    of the slices reproduce the aggregate series, which the registry checks.
+    Slice k takes about k steps of one running quotient of _slices, each
+    a few big-int shifts and adds on the packed coefficients (a division
+    by (1 + q^m) takes O(log(order / m)) of them), then one unpack; a
+    slice starting past the order is zero without a step. OMEX slice k
+    is MEX slice 2k+1, and a MEX tail is distinct_gen divided by one
+    (1 + q^m) per m. Weighted sums of the slices reproduce the aggregate
+    series, which the registry checks.
     """
     if not isinstance(kind, RefinedKind):
         raise ValueError(f"unknown refined kind {kind!r}")

@@ -2,14 +2,19 @@
 
 qmex.qfunctions.sigma_d_maex_series groups the maex-sum over distinct
 partitions by number of parts, chern_sigma_maex_series builds the
-maex-sum over all partitions from sigma_star, and _slices starts each
-maex slice body from a copy of the running prefix. The functions here
-are the loops they replaced: Horner's rule over the maex value k, the
-runs above the gap summed term by term, and a body that starts from
-zeros and adds the prefix at every exponent of T_k.
+maex-sum over all partitions from sigma_star, and _slices packs each
+slice body into one int, whose steps are big-integer shifts and adds.
+The functions here are the loops they replaced: Horner's rule over the
+maex value k, the runs above the gap summed term by term, and the slice
+streams on coefficient lists, one in-place binomial step per slice and
+one list add per weighted slice, a maex body starting from zeros and
+adding the prefix at every exponent of T_k.
 """
 
+from itertools import count
+
 from qmex import qfunctions
+from qmex.qfunctions import RefinedKind
 from qmex.series import _div_binomial_inplace, _mul_binomial_inplace
 
 
@@ -45,21 +50,47 @@ def old_runs_chern(order):
     return tuple(acc)
 
 
-def old_maex_slices(order):
-    """(k, low, body) for every maex slice k >= 1 nonzero at order, each body from zeros.
+def old_slices(kind, order, start=0):
+    """(k, low, body) for every slice k >= start of a family nonzero at order, bodies as lists.
 
-    Slice k is q^(k+1) (-q;q)_{k-1} T_k: the prefix steps by (1 + q^(k-1))
-    and is added into a zero body at each exponent of T_k.
+    kind is a RefinedKind other than OMEX, or None for the mex > i tails.
+    One running list, cut to the length the next slice needs, steps by
+    _div_binomial_inplace (MEX and None by (1 + q^k), MOEX by
+    (1 + q^{2k+1})) or, for the maex prefix (-q;q)_{k-1}, by
+    _mul_binomial_inplace; a maex body starts from zeros and adds the
+    prefix at each exponent of T_k. Every body is a fresh list.
     """
-    run = [1] + [0] * order
-    k = 1
-    while k + 1 <= order:
-        low = k + 1
+    first, lowest = qfunctions._FAMILIES[kind]
+    maex = kind is RefinedKind.MAEX
+    run = [1] + [0] * order if maex else list(qfunctions.distinct_gen(order).coefficients())
+    for k in count(first):
+        low = lowest(k)
+        if low > order:
+            return
         del run[order + 1 - low :]
-        if k > 1:
-            _mul_binomial_inplace(run, 1, k - 1)
+        if maex:
+            if k > 1:
+                _mul_binomial_inplace(run, 1, k - 1)
+        elif kind is RefinedKind.MOEX:
+            _div_binomial_inplace(run, 1, 2 * k + 1)
+        elif k:
+            _div_binomial_inplace(run, 1, k)
+        if k < start:
+            continue
+        if not maex:
+            yield k, low, run.copy()
+            continue
         body = [0] * len(run)
         for e in qfunctions._maex_exponents(k, order):
             body[e - low :] = [x + y for x, y in zip(body[e - low :], run)]
         yield k, low, body
-        k += 1
+
+
+def old_sliced(kind, weight, order):
+    """Coefficients 0..order of sum_k weight(k) * slice k of old_slices, one list add per slice."""
+    total = [0] * (order + 1)
+    for k, low, body in old_slices(kind, order):
+        w = weight(k)
+        if w:
+            total[low:] = [t + w * v for t, v in zip(total[low:], body)]
+    return total

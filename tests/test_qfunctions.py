@@ -8,6 +8,7 @@ either side shows up as a disagreement rather than a stale constant.
 import hashlib
 import inspect
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -51,7 +52,7 @@ from qmex.series import (
     _shift_inplace,
     poch,
 )
-from route_oracle import old_horner_sigma_d_maex, old_maex_slices, old_runs_chern
+from route_oracle import old_horner_sigma_d_maex, old_runs_chern, old_sliced, old_slices
 
 
 def fraction_sigma(order):
@@ -594,10 +595,19 @@ class TestTruncationEdges:
             assert lo.coefficient(n) == hi.coefficient(n)
 
 
+def unpacked_slices(kind, order, start=0):
+    """(k, low, body) of _slices at the one-weight width, each body unpacked to a list."""
+    w = qfunctions._slot_bytes(order, 1)
+    return [
+        (k, low, qfunctions._unpack(body, order + 1 - low, w))
+        for k, low, body in qfunctions._slices(kind, order, w, start)
+    ]
+
+
 def maex_slices_checked(order):
     """Every maex slice of _slices at order, after checking it against the zero-start loop."""
-    got = list(qfunctions._slices(RefinedKind.MAEX, order))
-    assert got == list(old_maex_slices(order)), order
+    got = unpacked_slices(RefinedKind.MAEX, order)
+    assert got == list(old_slices(RefinedKind.MAEX, order)), order
     return got
 
 
@@ -634,7 +644,7 @@ class TestRefined:
 
     def test_running_prefix_maex_slices(self):
         ks = []
-        for k, low, body in qfunctions._slices(RefinedKind.MAEX, 60):
+        for k, low, body in unpacked_slices(RefinedKind.MAEX, 60):
             ks.append(k)
             assert IntSeries([0] * low + body) == refined_series(60, RefinedKind.MAEX, k)
         assert ks == list(range(1, 60))
@@ -703,7 +713,7 @@ class TestSliceStream:
                 k += 1
             if kind is not RefinedKind.OMEX:  # OMEX slice k is read from MEX slice 2k+1
                 items = []
-                for k, low, body in qfunctions._slices(kind, order):
+                for k, low, body in unpacked_slices(kind, order):
                     assert len(body) == order + 1 - low and body[0] == 1  # low is the lowest exponent
                     assert IntSeries([0] * low + body) == forms[k], (kind, k)
                     items.append(k)
@@ -731,6 +741,55 @@ class TestSliceStream:
                 for n, m, o, a in stats:
                     want[n] += statistic[kind](m, o, a, k)
                 assert _slice_of(kind, k, top).coefficients() == tuple(want), (kind, k)
+
+
+# Families with a stream of their own (None: the mex > i tails); OMEX reads MEX slices.
+STREAM_FAMILIES = (None, RefinedKind.MEX, RefinedKind.MOEX, RefinedKind.MAEX)
+
+# slice-sum identity -> (stream family, weight of slice k) of its _sliced side
+REGISTRY_SLICED = {
+    "d-i-sum": (None, lambda i: 1),
+    "refined-mex-weighted-sum": (RefinedKind.MEX, lambda m: m),
+    "refined-mex-unweighted-sum": (RefinedKind.MEX, lambda m: 1),
+    "refined-omex-sum": (RefinedKind.MEX, lambda m: m % 2),
+    "refined-moex-weighted-sum": (RefinedKind.MOEX, lambda k: 2 * k + 1),
+    "refined-maex-weighted-sum": (RefinedKind.MAEX, lambda k: k),
+}
+
+# Weights beyond the registry's: negative, zero, and far wider than any slice coefficient.
+EXTRA_WEIGHTS = {
+    "(-1)^k 7": lambda k: (-1) ** k * 7,
+    "0": lambda k: 0,
+    "10^40 k": lambda k: 10**40 * k,
+}
+
+
+class TestPackedSlices:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 400), st.integers(0, 30))
+    @example(0, 0)
+    @example(1, 0)
+    @example(2, 0)
+    @example(300, 0)
+    def test_packed_stream_and_sums_equal_the_list_stream(self, order, start):
+        for kind in STREAM_FAMILIES:
+            assert unpacked_slices(kind, order, start) == list(old_slices(kind, order, start)), kind
+        for name, (kind, weight) in REGISTRY_SLICED.items():
+            (check,) = identities._BY_NAME[name].checks
+            assert check.lhs(order).coefficients() == tuple(old_sliced(kind, weight, order)), name
+        for kind in STREAM_FAMILIES:
+            for label, weight in EXTRA_WEIGHTS.items():
+                got = qfunctions._sliced(kind, weight)(order).coefficients()
+                assert got == tuple(old_sliced(kind, weight, order)), (kind, label)
+
+    def test_slot_width_holds_every_distinct_count_up_to_max_order(self):
+        counts = distinct_gen(qfunctions.MAX_ORDER).coefficients()
+        # Q(n) <= e^{pi sqrt(n/3)}, by at least 2.6 bits from n = 1 on; n = 1 is the tightest
+        slack = [math.pi * math.sqrt(n / 3) / math.log(2) - math.log2(q) for n, q in enumerate(counts)]
+        assert min(slack[1:]) == slack[1] > 2.6
+        for n, q in enumerate(counts):
+            for total in (1, 7, 10**40):
+                assert q * total < 2 ** (8 * qfunctions._slot_bytes(n, total) - 1), (n, total)
 
 
 class TestCatalog:
