@@ -18,9 +18,10 @@ over distinct parts is no such sum: it runs forward over the number of
 parts, two divisions a step.
 
 The slices of the refined families come from one running quotient per
-family (_slices), held as one packed int with coefficient j in slot j
-of w bytes, as in series._kronecker_mul: the tail (-q^{m+1};q)_inf of
-a mex slice is the previous tail divided by (1 + q^m), O(log(order/m))
+family (_slices), one int with coefficient j in slot j of w bytes in
+the slot codec of series._pack and series._unpack, which the dense
+products of series._kronecker_mul use: the tail (-q^{m+1};q)_inf of a
+mex slice is the previous tail divided by (1 + q^m), O(log(order/m))
 big-int shifts and adds a step, and each slice body is one int too.
 The slot width comes from the order and the weights (_slot_bytes),
 since a slice coefficient counts distinct partitions of n <= order and
@@ -61,7 +62,9 @@ from .series import (
     IntSeries,
     _div_binomial_inplace,
     _mul_binomial_inplace,
+    _pack,
     _shift_inplace,
+    _unpack,
 )
 
 
@@ -441,24 +444,6 @@ def _slot_bytes(order: int, weight_total: int) -> int:
     return -(-bits // 8)
 
 
-def _pack(coefficients, w: int) -> int:
-    """Coefficients 0 <= c < 2^(8w) as one int, coefficient j in slot j of w bytes."""
-    return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in coefficients]), "little")
-
-
-def _unpack(packed: int, length: int, w: int) -> list[int]:
-    """The length signed w-byte slots of packed mod 2^(8w length), lowest first.
-
-    As in series._kronecker_mul, h = 2^(8w-1) is added to every slot,
-    which holds each coefficient in [-h, h) at [0, 2h): no borrow
-    crosses a slot, and h comes off each slot as it is read.
-    """
-    h = 1 << (8 * w - 1)
-    bias = int.from_bytes(h.to_bytes(w, "little") * length, "little")
-    raw = ((packed + bias) & ((1 << 8 * w * length) - 1)).to_bytes(w * length, "little")
-    return [int.from_bytes(raw[i : i + w], "little") - h for i in range(0, w * length, w)]
-
-
 def _slices(
     kind: RefinedKind | None, order: int, w: int, start: int = 0
 ) -> Iterator[tuple[int, int, int]]:
@@ -466,7 +451,7 @@ def _slices(
 
     Slice k is q^low * body: low is its lowest exponent, and body packs
     its coefficients 0..order - low, coefficient j in slot j of w bytes
-    (_pack), mod 2^(8w (order + 1 - low)); _unpack reads them back.
+    (series._pack), mod 2^(8w (order + 1 - low)), read by series._unpack.
     q -> 2^(8w) carries every step of the ring Z[q]/(q^(order + 1 - low))
     to the integers mod that power of two, so only the coefficients read
     at the end must fit a slot (_slot_bytes), not any reached on the way.
@@ -524,9 +509,9 @@ def _sliced(kind: RefinedKind | None, weight: Callable[[int], int]) -> Callable[
 
     Every slice nonzero at the order comes from the running quotients of
     _slices and, unless its weight is 0, is added as weight(k) * body,
-    shifted to its lowest exponent, into one int, which is unpacked once
-    at the end: a route apart from the aggregate builders, which sum
-    q-series terms and multiply. The slots are wide enough for
+    shifted to its lowest exponent, into one int, which series._unpack
+    reads once at the end: a route apart from the aggregate builders,
+    which sum q-series terms and multiply. The slots are wide enough for
     sum |weight(k)| * Q(order), the sum over every k whose slice starts
     at or below the order (_slot_bytes). Each add is a multiply, a shift
     and an add of O(w order) bytes.
@@ -549,7 +534,7 @@ def _slice(kind: RefinedKind | None, index: int, order: int) -> IntSeries:
     """Slice index of a family; past the last nonzero slice it is zero at once.
 
     The stream runs at the width of one slice (_slot_bytes with weight
-    total 1) up to index, and its one body is unpacked.
+    total 1) up to index, and series._unpack reads its one body.
     """
     first, lowest = _FAMILIES[kind]
     if index < first:

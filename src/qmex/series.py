@@ -14,10 +14,12 @@ operand is sparse (a theta-like sum, a pentagonal product), one slice
 update per nonzero entry costs O(nnz * N). Otherwise Kronecker
 substitution packs each operand into one integer, multiplies the two
 integers once, and reads the coefficients back from the digits of the
-product. Small operands are packed in bytes and multiplied by CPython's
-Karatsuba; from about 30,000 packed decimal digits they are packed in
-decimal digits and multiplied by the number-theoretic transform of the
-stdlib decimal module (libmpdec), with every rounding trapped.
+product. Small operands are packed in bytes by _pack and _unpack, the
+slot codec the slice streams of qmex.qfunctions share, and multiplied
+by CPython's Karatsuba; from about 30,000 packed decimal digits they
+are packed in decimal digits and multiplied by the number-theoretic
+transform of the stdlib decimal module (libmpdec), with every rounding
+trapped.
 
 Unbounded q-Pochhammer style products are handled by :func:`poch`,
 which simply omits factors whose lowest exponent exceeds the truncation
@@ -299,15 +301,12 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     conversion limit stays binary, since the decimal branch converts each
     slot through str. Every other product is packed in bytes, as follows.
 
-    With slots of w bytes such that bound < h = 2^(8w-1), X = 2^(8w).
-    Operands are packed with h added to every slot, which keeps each
-    packed slot in [0, X), and the same bias is subtracted once as an
-    integer. The product gets h in each of its 2n+1 slots, not only the
-    n+1 retained ones: a negative high coefficient would otherwise make
-    the integer negative. Packing is one to_bytes per coefficient and
-    unpacking one from_bytes per retained slot, so both are linear; the
-    multiplication is CPython's Karatsuba, which squares when both
-    operands are equal.
+    With slots of w bytes such that bound < h = 2^(8w-1), X = 2^(8w),
+    _pack packs both operands and _unpack reads the product mod
+    X^(n+1): every retained |c| < h, and the slots at and above n+1 are
+    multiples of X^(n+1), which vanish whatever their sign. Both are
+    linear; the multiplication is CPython's Karatsuba, which squares
+    when both operands are equal.
     """
     bound = (n + 1) * max(map(abs, a)) * max(map(abs, b))
     if not bound:
@@ -318,18 +317,32 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     if (n + 1) * d >= _DECIMAL_MIN_DIGITS and (not limit or d <= limit):
         return _decimal_kronecker(a, b, n, d)
     w = bound.bit_length() // 8 + 1
+    x = _pack(a, w)
+    y = x if a == b else _pack(b, w)
+    return _unpack(x * y, n + 1, w)
+
+
+def _pack(cs: Sequence[int], w: int) -> int:
+    """c_j in [-h, h), h = 2^(8w-1), as sum c_j X^j with X = 2^(8w): slot j of w bytes.
+
+    h goes into every slot, which keeps each in [0, X), and comes off once as an int.
+    """
     h = 1 << (8 * w - 1)
-    slot = h.to_bytes(w, "little")
+    packed = b"".join([(c + h).to_bytes(w, "little") for c in cs])
+    return int.from_bytes(packed, "little") - int.from_bytes(h.to_bytes(w, "little") * len(cs), "little")
 
-    def pack(cs: Sequence[int]) -> int:
-        packed = b"".join([(c + h).to_bytes(w, "little") for c in cs])
-        return int.from_bytes(packed, "little") - int.from_bytes(slot * len(cs), "little")
 
-    x = pack(a)
-    y = x if a == b else pack(b)
-    full = 2 * n + 1
-    raw = (x * y + int.from_bytes(slot * full, "little")).to_bytes(w * full, "little")
-    return [int.from_bytes(raw[i : i + w], "little") - h for i in range(0, w * (n + 1), w)]
+def _unpack(packed: int, length: int, w: int) -> list[int]:
+    """The length signed w-byte slots of packed mod 2^(8w length), lowest first.
+
+    h = 2^(8w-1) added to each low slot holds its coefficient in [-h, h)
+    at [0, 2h), so no borrow crosses a slot; the all-ones mask drops
+    every higher slot, whatever its sign.
+    """
+    h = 1 << (8 * w - 1)
+    bias = int.from_bytes(h.to_bytes(w, "little") * length, "little")
+    raw = ((packed + bias) & ((1 << 8 * w * length) - 1)).to_bytes(w * length, "little")
+    return [int.from_bytes(raw[i : i + w], "little") - h for i in range(0, w * length, w)]
 
 
 def _decimal_kronecker(a: Sequence[int], b: Sequence[int], n: int, d: int) -> list[int]:
@@ -376,10 +389,10 @@ def _decimal_kronecker(a: Sequence[int], b: Sequence[int], n: int, d: int) -> li
 # ----------------------------------------------------------------------
 # in-place list kernels
 #
-# These operate on plain coefficient lists so that the nested sums and
-# slice streams of the builder module, whose steps are single binomials
-# and shifts, run in O(N) per step. They are not part of the public
-# surface.
+# These operate on plain coefficient lists so that poch and the builder
+# module's _nested_sum, sigma_d_maex_series and a-d ALT1, whose steps
+# are single binomials and shifts, run in O(N) per step. They are not
+# part of the public surface.
 
 
 def _mul_binomial_inplace(c: list[int], sign: int, m: int) -> None:

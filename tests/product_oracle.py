@@ -5,6 +5,11 @@ multiplies them with libmpdec, and qmex.series._sparse_mul adds one
 slice per nonzero entry. The functions here are the kernels they
 replaced: Kronecker substitution in bytes multiplied by CPython's own
 integers, and the schoolbook double loop over the sparse support.
+
+binary_kronecker_mul is also the reference for the full-bias read that
+the binary branch of _kronecker_mul dropped: it biases all 2n+1 slots of
+the product and reads them as bytes, where _kronecker_mul now reads only
+the n+1 retained slots mod X^(n+1) through qmex.series._unpack.
 """
 
 from typing import Sequence

@@ -50,6 +50,7 @@ from qmex.series import (
     _div_binomial_inplace,
     _mul_binomial_inplace,
     _shift_inplace,
+    _unpack,
     poch,
 )
 from route_oracle import old_horner_sigma_d_maex, old_runs_chern, old_sliced, old_slices
@@ -599,7 +600,7 @@ def unpacked_slices(kind, order, start=0):
     """(k, low, body) of _slices at the one-weight width, each body unpacked to a list."""
     w = qfunctions._slot_bytes(order, 1)
     return [
-        (k, low, qfunctions._unpack(body, order + 1 - low, w))
+        (k, low, _unpack(body, order + 1 - low, w))
         for k, low, body in qfunctions._slices(kind, order, w, start)
     ]
 

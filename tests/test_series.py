@@ -18,8 +18,10 @@ from qmex.series import (
     IntSeries,
     NumericalIntegrityError,
     _kronecker_mul,
+    _pack,
     _sparse_cutoff,
     _sparse_mul,
+    _unpack,
     one,
     poch,
 )
@@ -451,6 +453,33 @@ class TestDecimalBranch:
         monkeypatch.setattr(decimal, "MAX_PREC", (n + 1) * 130)
         with pytest.raises((decimal.Inexact, decimal.Rounded)):
             _kronecker_mul(tuple(a), tuple(a), n)
+
+
+@st.composite
+def slot_coefficients(draw):
+    """A slot width w of 1-40 bytes and signed slots in [-h, h), h = 2^(8w-1), -h and h-1 among them."""
+    w = draw(st.integers(min_value=1, max_value=40))
+    h = 1 << (8 * w - 1)
+    cs = draw(st.lists(st.integers(min_value=-h, max_value=h - 1), max_size=12))
+    for extreme in (-h, h - 1):
+        cs.insert(draw(st.integers(min_value=0, max_value=len(cs))), extreme)
+    return w, cs
+
+
+class TestSlotCodec:
+    """_pack and _unpack, the slot codec of _kronecker_mul and of the qfunctions slice streams."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(slot_coefficients())
+    # at k = 3 every slot above k is negative, -h among them: the mask must drop them
+    @example(case=(1, [5, -7, 127, -128, -1, -128]))
+    # the widest slot, both extremes
+    @example(case=(40, [0, -(2**319), -1, 2**319 - 1, -(2**319)]))
+    def test_unpack_reads_every_prefix_of_a_pack(self, case):
+        w, cs = case
+        packed = _pack(cs, w)
+        for k in range(len(cs) + 1):
+            assert _unpack(packed, k, w) == cs[:k]
 
 
 class TestSparseKernel:
