@@ -23,9 +23,10 @@ the slot codec of series._pack and series._unpack, which the dense
 products of series._kronecker_mul use: the tail (-q^{m+1};q)_inf of a
 mex slice is the previous tail divided by (1 + q^m), O(log(order/m))
 big-int shifts and adds a step, and each slice body is one int too.
-The slot width comes from the order and the weights (_slot_bytes),
-since a slice coefficient counts distinct partitions of n <= order and
-so is at most Q(n) <= e^{pi sqrt(n/3)}. The identity registry's slice
+The slot width comes from the order and the weights
+(series._slot_bytes, the bound series.poch uses too), since a slice
+coefficient counts distinct partitions of n <= order and so is at most
+Q(n) <= e^{pi sqrt(n/3)}. The identity registry's slice
 sums (_sliced) add weight times each body into one int and unpack it
 once.
 
@@ -52,7 +53,6 @@ partitions.
 from __future__ import annotations
 
 import enum
-import math
 from functools import wraps
 from itertools import count, takewhile
 from typing import Callable, Iterator, NamedTuple
@@ -64,6 +64,7 @@ from .series import (
     _mul_binomial_inplace,
     _pack,
     _shift_inplace,
+    _slot_bytes,
     _unpack,
 )
 
@@ -427,21 +428,6 @@ _FAMILIES: dict[RefinedKind | None, tuple[int, Callable[[int], int]]] = {
     RefinedKind.MAEX: (1, lambda k: k + 1),
     None: (0, lambda i: i * (i + 1) // 2),
 }
-
-
-def _slot_bytes(order: int, weight_total: int) -> int:
-    """Bytes w of a slot that holds any coefficient of a slice sum at order, signed.
-
-    Every coefficient of a slice counts distinct partitions of some
-    n <= order, so it is at most Q(n) <= e^{pi sqrt(n/3)}: at x = e^{-t},
-    Q(n) x^n <= (-x;x)_inf <= e^{pi^2/12t}, and t = pi/sqrt(12n) gives
-    the bound. A sum of weight(k) times slice k is at most
-    weight_total = sum |weight(k)| times that, the sum running over every
-    k whose slice starts at or below the order. One more bit for the
-    sign and one spare keep it below the 2^(8w-1) that _unpack reads.
-    """
-    bits = math.ceil(math.pi * math.sqrt(order / 3) / math.log(2)) + weight_total.bit_length() + 2
-    return -(-bits // 8)
 
 
 def _slices(

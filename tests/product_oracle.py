@@ -1,18 +1,26 @@
-"""The two product kernels qmex.series used before its decimal branch, as test oracles.
+"""Kernels qmex.series used before, kept as test oracles.
 
 qmex.series._kronecker_mul packs large operands in decimal digits and
 multiplies them with libmpdec, and qmex.series._sparse_mul adds one
-slice per nonzero entry. The functions here are the kernels they
-replaced: Kronecker substitution in bytes multiplied by CPython's own
-integers, and the schoolbook double loop over the sparse support.
+slice per nonzero entry. binary_kronecker_mul and loop_sparse_mul are
+the kernels they replaced: Kronecker substitution in bytes multiplied by
+CPython's own integers, and the schoolbook double loop over the sparse
+support.
 
 binary_kronecker_mul is also the reference for the full-bias read that
 the binary branch of _kronecker_mul dropped: it biases all 2n+1 slots of
 the product and reads them as bytes, where _kronecker_mul now reads only
 the n+1 retained slots mod X^(n+1) through qmex.series._unpack.
+
+loop_poch is the list loop qmex.series.poch ran before it moved to one
+packed int: one in-place binomial product per factor. loop_invert is
+the support recurrence that IntSeries.invert keeps only for sparse
+series, run on every series.
 """
 
 from typing import Sequence
+
+from qmex.series import _mul_binomial_inplace
 
 
 def binary_kronecker_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
@@ -47,3 +55,30 @@ def loop_sparse_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
                 if bj:
                     out[i + j] += ai * bj
     return out
+
+
+def loop_poch(sign: int, a: int, step: int, count: int | None, order: int) -> list[int]:
+    """Coefficients of prod_{0 <= k < count} (1 + sign q^{a + k step}) to order, factor by factor."""
+    c = [1] + [0] * order
+    stop = order + 1 if count is None else min(order + 1, a + count * step)
+    for e in range(a, stop, step):
+        _mul_binomial_inplace(c, sign, e)
+    return c
+
+
+def loop_invert(cs: Sequence[int]) -> list[int]:
+    """1/f for coefficients cs of f with cs[0] = +-1: g_m = -cs[0] sum_{i>=1} cs[i] g_{m-i} over the support."""
+    n = len(cs) - 1
+    c0 = cs[0]
+    support = [i for i in range(1, n + 1) if cs[i]]
+    g = [0] * (n + 1)
+    g[0] = c0
+    for m in range(1, n + 1):
+        acc = 0
+        for i in support:
+            if i > m:
+                break
+            acc += cs[i] * g[m - i]
+        if acc:
+            g[m] = -c0 * acc
+    return g

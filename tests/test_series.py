@@ -18,6 +18,7 @@ from qmex.series import (
     IntSeries,
     NumericalIntegrityError,
     _kronecker_mul,
+    _newton_invert,
     _pack,
     _sparse_cutoff,
     _sparse_mul,
@@ -26,7 +27,7 @@ from qmex.series import (
     poch,
 )
 
-from product_oracle import binary_kronecker_mul, loop_sparse_mul
+from product_oracle import binary_kronecker_mul, loop_invert, loop_poch, loop_sparse_mul
 
 
 def brute_mul(a, b):
@@ -263,6 +264,71 @@ class TestRingLaws:
         if e <= order:
             factor[e] = sign
         assert longer == shorter * IntSeries(factor)
+
+
+class TestPackedPoch:
+    """poch on one packed int against loop_poch, the list loop it replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from([1, -1]),
+        st.integers(min_value=1, max_value=450),
+        st.integers(min_value=1, max_value=9),
+        st.one_of(st.just(0), st.integers(min_value=1, max_value=12), st.just(INFINITE)),
+        st.integers(min_value=0, max_value=400),
+    )
+    @example(sign=-1, a=1, step=1, count=INFINITE, order=0)
+    @example(sign=1, a=5, step=1, count=INFINITE, order=4)  # a > order: no factor
+    @example(sign=-1, a=1, step=1, count=0, order=30)
+    # every factor up to 400, where the slots are widest and the rounding bit is set most
+    @example(sign=-1, a=1, step=1, count=INFINITE, order=400)
+    @example(sign=1, a=1, step=1, count=INFINITE, order=400)
+    @example(sign=-1, a=1, step=2, count=INFINITE, order=400)
+    def test_equals_the_list_loop(self, sign, a, step, count, order):
+        assert list(poch(sign, a, step, count, order).coefficients()) == loop_poch(sign, a, step, count, order)
+
+
+@st.composite
+def unit_series(draw):
+    """Coefficients of order 0-400 with constant term +-1, sparse or dense, small or 80-bit."""
+    n = draw(st.integers(min_value=0, max_value=400))
+    mag = draw(st.sampled_from([1, 3, 2**80]))
+    values = st.integers(min_value=-mag, max_value=mag)
+    cs = [0] * n
+    if draw(st.booleans()):  # dense: every coefficient drawn
+        cs = draw(st.lists(values, min_size=n, max_size=n))
+    elif n:  # sparse: at most 12 nonzero entries at drawn places
+        for i in draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=12)):
+            cs[i] = draw(values)
+    return [draw(st.sampled_from([1, -1]))] + cs
+
+
+class TestNewtonInvert:
+    """invert against loop_invert, the support recurrence, on either side of its rule."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(unit_series())
+    @example(cs=[1])
+    @example(cs=[-1])
+    @example(cs=[1, -1] * 150)  # dense, order 299
+    @example(cs=[-1] + [1] * 400)  # dense with constant -1, order 400
+    def test_equals_the_support_loop(self, cs):
+        assert list(IntSeries(cs).invert().coefficients()) == loop_invert(cs)
+
+    @pytest.mark.parametrize("n", [25, 100, 400])  # 25: the lowest order a series can pass the rule
+    @pytest.mark.parametrize("extra, newton", [(0, False), (1, True)])
+    def test_rule_boundary(self, n, extra, newton):
+        # nnz(f) == _sparse_cutoff(n) keeps the support loop; one more entry runs Newton
+        nnz = _sparse_cutoff(n) + extra
+        rng = random.Random(n * 2 + extra)
+        cs = [0] * (n + 1)
+        cs[0] = -1
+        for i in rng.sample(range(1, n + 1), nnz - 1):
+            cs[i] = rng.choice([1, -1, 2])
+        with mock.patch.object(series, "_newton_invert", wraps=_newton_invert) as spy:
+            got = IntSeries(cs).invert()
+        assert spy.called is newton
+        assert list(got.coefficients()) == loop_invert(cs)
 
 
 class TestKroneckerProduct:
