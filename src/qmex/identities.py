@@ -39,6 +39,7 @@ from .qfunctions import (
     RefinedKind,
     _CATALOGUE,
     _check_order,
+    _odd_parts_product,
     _sliced,
     a_d_series,
     a_series,
@@ -224,8 +225,8 @@ def _build_registry() -> tuple[IdentityDescriptor, ...]:
     add(
         "euler-identity",
         "(-q;q)_inf (q;q^2)_inf = 1, equivalently distinct = 1/odd-parts",
-        SeriesPair("product-is-one", lambda o: poch(1, 1, 1, INFINITE, o) * poch(-1, 1, 2, INFINITE, o), one),
-        SeriesPair("distinct-vs-inverted-odd", distinct_gen, lambda o: poch(-1, 1, 2, INFINITE, o).invert()),
+        SeriesPair("product-is-one", lambda o: poch(1, 1, 1, INFINITE, o) * _odd_parts_product(o), one),
+        SeriesPair("distinct-vs-inverted-odd", distinct_gen, lambda o: _odd_parts_product(o).invert()),
     )
     add(
         "d-i-sum",

@@ -18,17 +18,12 @@ over distinct parts is no such sum: it runs forward over the number of
 parts, two divisions a step.
 
 The slices of the refined families come from one running quotient per
-family (_slices), one int with coefficient j in slot j of w bytes in
-the slot codec of series._pack and series._unpack, which the dense
-products of series._kronecker_mul use: the tail (-q^{m+1};q)_inf of a
-mex slice is the previous tail divided by (1 + q^m), O(log(order/m))
-big-int shifts and adds a step, and each slice body is one int too.
-The slot width comes from the order and the weights
-(series._slot_bytes, the bound series.poch uses too), since a slice
-coefficient counts distinct partitions of n <= order and so is at most
-Q(n) <= e^{pi sqrt(n/3)}. The identity registry's slice
-sums (_sliced) add weight times each body into one int and unpack it
-once.
+family (_slices), one int in the frame of series.poch, q^d in slot
+order - d: a mex tail (-q^{m+1};q)_inf is the previous one divided by
+(1 + q^m), O(log(order/m)) shifts and adds, each exact since every
+coefficient on the way is at most Q(n) <= e^{pi sqrt(n/3)} in absolute
+value (series._slot_bytes). The identity registry's slice sums
+(_sliced) add weight times each body into one int and unpack it once.
 
 1/(q;q)_inf is stored once (partition_gen), the inverse of a series
 that Euler's pentagonal theorem makes sparse (_euler_product);
@@ -54,18 +49,21 @@ from __future__ import annotations
 
 import enum
 from functools import wraps
-from itertools import count, takewhile
+from itertools import count, islice, takewhile
 from typing import Callable, Iterator, NamedTuple
 
 from .partitions import _pentagonal
 from .series import (
+    INFINITE,
     IntSeries,
     _div_binomial_inplace,
     _mul_binomial_inplace,
     _pack,
     _shift_inplace,
+    _shift_round,
     _slot_bytes,
     _unpack,
+    poch,
 )
 
 
@@ -273,6 +271,12 @@ def partition_gen(order: int) -> IntSeries:
     return _euler_product(1, order).invert()
 
 
+@_builder()
+def _odd_parts_product(order: int) -> IntSeries:
+    """(q;q^2)_inf prefix by poch; its inverse counts partitions into odd parts."""
+    return poch(-1, 1, 2, INFINITE, order)
+
+
 @_builder("distinct")
 def distinct_gen(order: int) -> IntSeries:
     """(-q;q)_inf prefix: coefficient n counts partitions of n into distinct parts.
@@ -435,72 +439,75 @@ def _slices(
 ) -> Iterator[tuple[int, int, int]]:
     """Yield (k, low, body) for every slice k >= start of a family nonzero at order.
 
-    Slice k is q^low * body: low is its lowest exponent, and body packs
-    its coefficients 0..order - low, coefficient j in slot j of w bytes
-    (series._pack), mod 2^(8w (order + 1 - low)), read by series._unpack.
-    q -> 2^(8w) carries every step of the ring Z[q]/(q^(order + 1 - low))
-    to the integers mod that power of two, so only the coefficients read
-    at the end must fit a slot (_slot_bytes), not any reached on the way.
-    One running int, cut to the slots the next slice needs, steps from
-    each slice to the next:
+    low is the lowest exponent of slice k, and body packs the slice in
+    the frame of series.poch, q^d in slot order - d of w bytes. One
+    running int steps from each slice to the next, first shifted right
+    by the step of low, which drops the terms past q^order:
 
-    MEX, None  tail (-q^{k+1};q)_inf: distinct_gen divided by (1 + q^k)
-    MOEX       (-q;q)_inf / (-q;q^2)_{k+1}: divided by (1 + q^{2k+1})
-    MAEX       prefix (-q;q)_{k-1}: times (1 + q^{k-1}); the body is it,
-               for the first exponent of T_k, low = k + 1, plus it
-               shifted to each later one and cut
+    MEX, None  tail q^low (-q^{k+1};q)_inf: divided by (1 + q^k)
+    MOEX       q^low (-q;q)_inf / (-q;q^2)_{k+1}: divided by (1 + q^{2k+1})
+    MAEX       prefix q^low (-q;q)_{k-1}: times (1 + q^{k-1}); the body is
+               it plus it shifted to each later exponent of T_k
 
-    A product by 1 + x, x = q^m, is one shift, one add and one cut (an
-    AND with the all-ones mask of the slots kept). A division by it is
-    a product by (1 + x^2)(1 + x^4)... = 1/(1 - x^2), one such step per
-    factor while the shift stays below the cut, and then by 1 - x:
-    O(log(order / m)) steps on ints of O(w order) bytes. OMEX has no
-    stream: its slice k is MEX slice 2k+1. Below start the int only
-    steps.
+    A division by 1 + x, x = q^m, is a product by 1 - x, then by
+    (1 + x^2)(1 + x^4)... = 1/(1 - x^2) while x^(2^i) stays within the
+    order: O(log(order / m)) shifts and adds. Each partial quotient is
+    the new tail times 1 - x^(2^i), so its signed coefficients are at
+    most Q(n) < 2^(8w-1) at w >= _slot_bytes(order, 1), and its shifts,
+    rounded to nearest by series._shift_round, are exact; every other
+    int holds counts, and its floor shifts are. OMEX has no stream: its
+    slice k is MEX slice 2k+1. Below start the int only steps.
     """
     first, lowest = _FAMILIES[kind]
     maex = kind is RefinedKind.MAEX
     bits = 8 * w
-    run = 1 if maex else _pack(distinct_gen(order).coefficients(), w)
+    run = 1 << bits * order if maex else _pack(distinct_gen(order).coefficients()[::-1], w)
+    done = 0  # the lowest exponent run is shifted to
     for k in count(first):
         low = lowest(k)
         if low > order:
             return
-        cut = (1 << bits * (order + 1 - low)) - 1
-        if maex:
-            if k > 1:
-                run = (run + (run << bits * (k - 1))) & cut
-        else:
-            m = 2 * k + 1 if kind is RefinedKind.MOEX else k
-            if m:
-                # times (1 + x^2)(1 + x^4)... = 1 / (1 - x^2), then times 1 - x
-                s = 2 * m
-                while s <= order - low:
-                    run += (run << bits * s) & cut
-                    s *= 2
-                run = (run - ((run << bits * m) & cut)) & cut
+        run >>= bits * (low - done)
+        done = low
+        m = k - 1 if maex else 2 * k + 1 if kind is RefinedKind.MOEX else k
+        if maex and m:
+            run += run >> bits * m
+        elif m:
+            # times 1 - x, then (1 + x^2)(1 + x^4)... = 1 / (1 - x^2)
+            run -= _shift_round(run, bits * m)
+            s = 2 * m
+            while s <= order - low:
+                run += _shift_round(run, bits * s)
+                s *= 2
         if k < start:
             continue
         body = run
         if maex:
-            exponents = _maex_exponents(k, order)
-            next(exponents)  # low itself: the body starts as the prefix
-            for e in exponents:
-                body += (run << bits * (e - low)) & cut
+            for e in islice(_maex_exponents(k, order), 1, None):  # the first is low itself
+                body += run >> bits * (e - low)
         yield k, low, body
+
+
+def _slice_lists(kind: RefinedKind | None, order: int, start: int = 0) -> Iterator[tuple[int, int, list]]:
+    """(k, low, coefficients 0..order - low of slice k / q^low) of _slices for every k >= start.
+
+    The stream runs at _slot_bytes(order, 1), which holds one slice and every step on the way.
+    """
+    w = _slot_bytes(order, 1)
+    for k, low, body in _slices(kind, order, w, start):
+        yield k, low, _unpack(body, order + 1 - low, w)[::-1]
 
 
 def _sliced(kind: RefinedKind | None, weight: Callable[[int], int]) -> Callable[[int], IntSeries]:
     """sum_k weight(k) * slice k of a family (None: the mex > i tails of dcount_series).
 
-    Every slice nonzero at the order comes from the running quotients of
-    _slices and, unless its weight is 0, is added as weight(k) * body,
-    shifted to its lowest exponent, into one int, which series._unpack
-    reads once at the end: a route apart from the aggregate builders,
-    which sum q-series terms and multiply. The slots are wide enough for
-    sum |weight(k)| * Q(order), the sum over every k whose slice starts
-    at or below the order (_slot_bytes). Each add is a multiply, a shift
-    and an add of O(w order) bytes.
+    Every slice of _slices nonzero at the order, unless its weight is 0,
+    is added as weight(k) * body into one int, with no shift since all
+    bodies share one frame, and series._unpack reads it once: a route
+    apart from the aggregate builders, which sum q-series terms and
+    multiply. The slots hold sum |weight(k)| Q(order) over every k whose
+    slice starts at or below the order (_slot_bytes), which bounds the
+    total and every step of the stream.
     """
 
     def build(order: int) -> IntSeries:
@@ -508,29 +515,23 @@ def _sliced(kind: RefinedKind | None, weight: Callable[[int], int]) -> Callable[
         weights = [weight(k) for k in takewhile(lambda k: lowest(k) <= order, count(first))]
         w = _slot_bytes(order, sum(map(abs, weights)))
         total = 0
-        for k, low, body in _slices(kind, order, w):
+        for k, _, body in _slices(kind, order, w):
             if weights[k - first]:
-                total += weights[k - first] * body << 8 * w * low
-        return IntSeries._trusted(_unpack(total, order + 1, w))
+                total += weights[k - first] * body
+        return IntSeries._trusted(_unpack(total, order + 1, w)[::-1])
 
     return build
 
 
 def _slice(kind: RefinedKind | None, index: int, order: int) -> IntSeries:
-    """Slice index of a family; past the last nonzero slice it is zero at once.
-
-    The stream runs at the width of one slice (_slot_bytes with weight
-    total 1) up to index, and series._unpack reads its one body.
-    """
+    """Slice index of a family, read by _slice_lists at one slice's width; zero at once past the last."""
     first, lowest = _FAMILIES[kind]
     if index < first:
         raise ValueError(f"{kind.value if kind else 'dcount'} slice index must be >= {first}")
-    c = [0] * (order + 1)
-    if lowest(index) <= order:
-        w = _slot_bytes(order, 1)
-        _, low, body = next(_slices(kind, order, w, index))
-        c[low:] = _unpack(body, order + 1 - low, w)
-    return IntSeries._trusted(c)
+    if lowest(index) > order:
+        return IntSeries._trusted([0] * (order + 1))
+    _, low, body = next(_slice_lists(kind, order, index))
+    return IntSeries._trusted([0] * low + body)
 
 
 @_builder()

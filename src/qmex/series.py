@@ -24,17 +24,12 @@ trapped.
 Unbounded q-Pochhammer style products are handled by :func:`poch`,
 which simply omits factors whose lowest exponent exceeds the truncation
 order. Such a factor is 1 + O(q^{N+1}) and cannot change any retained
-coefficient, so the truncated product is still exact. poch keeps its
-running product in one int of the same slot codec, coefficient j in
-slot N - j of w bytes, and takes each factor 1 +- q^e as one right
-shift by e slots and one add or subtract: the shift drops the slots
-that leave the order, so no mask is needed. Every partial product is a
-product of binomials with distinct exponents, so each of its
-coefficients is a signed count of partitions of some n <= N into
-distinct parts, at most Q(n) <= e^{pi sqrt(n/3)}; _slot_bytes makes the
-slots wide enough for that bound, and with every slot in range the
-dropped slots are less than half a unit of the lowest kept slot, so
-the shift rounded to nearest is exact.
+coefficient, so the truncated product is still exact. poch and the
+slice streams keep a series in one frame of that codec, q^d in slot
+N - d of w bytes: a product by q^e is a right shift by e slots, which
+drops the terms past q^N with no mask, rounded to nearest by
+_shift_round, exact while no slot exceeds in absolute value the count
+Q(n) <= e^{pi sqrt(n/3)} of distinct partitions of n <= N (_slot_bytes).
 
 IntSeries.invert walks the recurrence over the support of the series
 while it has at most _sparse_cutoff(N) nonzero entries, the rule of the
@@ -250,17 +245,12 @@ def poch(sign: int, a: int, step: int, count: int | None, order: int) -> IntSeri
     poch(+1, 1, 1, INFINITE, N) its two-line relative (-q; q)_N, whose
     coefficients count partitions into distinct parts.
 
-    The running product is one int, coefficient j in slot N - j of w
-    bytes (X = 2^(8w)). Times 1 + sign * q^e it gains or loses itself
-    shifted right by e slots, and the shift drops exactly the terms that
-    pass q^N. Every partial product is a product of binomials with
-    distinct exponents, so each coefficient is a signed count of
-    partitions of some n <= N into distinct parts, |c| <= Q(n) <
-    h = X / 2 at w = _slot_bytes(N, 1). The dropped slots are then less
-    than X^e / 2 in absolute value, and the shift rounded to nearest,
-    the floor plus bit 8we - 1, is exact; with sign +1 every coefficient
-    is non-negative and the floor alone is. _unpack reads the slots at
-    the end.
+    The running product is one int in that frame, w = _slot_bytes(N, 1).
+    Times 1 + sign * q^e it gains or loses itself shifted right by e
+    slots. Each partial product is a product of binomials with distinct
+    exponents, so its coefficients are signed counts of partitions into
+    distinct parts, and _shift_round is exact; with sign +1 they are
+    non-negative and the floor alone is.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -277,14 +267,10 @@ def poch(sign: int, a: int, step: int, count: int | None, order: int) -> IntSeri
     bits = 8 * w
     run = 1 << bits * order
     for e in range(a, stop, step):
-        shift = bits * e
-        shifted = run >> shift
         if sign > 0:
-            run += shifted
+            run += run >> bits * e
         else:
-            if run >> shift - 1 & 1:  # rounds the shift to nearest
-                shifted += 1
-            run -= shifted
+            run -= _shift_round(run, bits * e)
     return IntSeries._trusted(_unpack(run, order + 1, w)[::-1])
 
 
@@ -406,6 +392,18 @@ def _slot_bytes(order: int, weight_total: int) -> int:
     """
     bits = math.ceil(math.pi * math.sqrt(order / 3) / math.log(2)) + weight_total.bit_length() + 2
     return -(-bits // 8)
+
+
+def _shift_round(x: int, bits: int) -> int:
+    """x / 2^bits rounded to nearest, halves up: the floor plus bit bits - 1 of x.
+
+    With bits = 8ws it drops s slots, exactly while each is in (-h, h),
+    h = 2^(8w-1); the floor is one off when the dropped part is < 0.
+    """
+    shifted = x >> bits
+    if x & (1 << bits - 1):
+        shifted += 1
+    return shifted
 
 
 def _pack(cs: Sequence[int], w: int) -> int:

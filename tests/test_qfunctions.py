@@ -50,7 +50,6 @@ from qmex.series import (
     _div_binomial_inplace,
     _mul_binomial_inplace,
     _shift_inplace,
-    _unpack,
     poch,
 )
 from route_oracle import old_horner_sigma_d_maex, old_runs_chern, old_sliced, old_slices
@@ -548,12 +547,14 @@ class TestPentagonalRoute:
         assert qfunctions._euler_product(s, order) == poch(-1, s, s, INFINITE, order)
 
     def test_builds_without_poch(self, monkeypatch):
-        # with poch and its kernel disabled, both still meet their order-500 pins
+        # with poch and the rounded shift of its sign -1 factors disabled, under the
+        # names series and qfunctions both bind, both still meet their order-500 pins
         def no_poch(*args, **kwargs):
             raise AssertionError("poch ran")
 
-        monkeypatch.setattr(series, "poch", no_poch)
-        monkeypatch.setattr(series, "_mul_binomial_inplace", no_poch)
+        for module in (series, qfunctions):
+            monkeypatch.setattr(module, "poch", no_poch)
+            monkeypatch.setattr(module, "_shift_round", no_poch)
         clear_cache()
         for name, builder in (("distinct", distinct_gen), ("a", a_series)):
             digest = hashlib.sha256(",".join(map(str, builder(500).coefficients())).encode()).hexdigest()
@@ -597,12 +598,8 @@ class TestTruncationEdges:
 
 
 def unpacked_slices(kind, order, start=0):
-    """(k, low, body) of _slices at the one-weight width, each body unpacked to a list."""
-    w = qfunctions._slot_bytes(order, 1)
-    return [
-        (k, low, _unpack(body, order + 1 - low, w))
-        for k, low, body in qfunctions._slices(kind, order, w, start)
-    ]
+    """(k, low, body) of _slices at the one-weight width, each body read as a list by _slice_lists."""
+    return list(qfunctions._slice_lists(kind, order, start))
 
 
 def maex_slices_checked(order):
@@ -854,8 +851,8 @@ def test_route_coefficients_pinned(name, form):
 
 
 # (builder, positional arguments after order) for every route the store
-# serves: each catalogued (name, form), slices of every refined family, and
-# dcount_series.
+# serves: each catalogued (name, form), slices of every refined family,
+# dcount_series, partition_gen and the (q;q^2)_inf of euler-identity.
 STORE_ROUTES = [
     (builder, (form,) if forms else ())
     for builder, forms in (qfunctions._CATALOGUE[name] for name in available_series())
@@ -869,9 +866,9 @@ STORE_ROUTES = [
         (RefinedKind.MAEX, (1, 5)),
     )
     for index in indices
-] + [(dcount_series, (i,)) for i in (0, 3)] + [(partition_gen, ())]
+] + [(dcount_series, (i,)) for i in (0, 3)] + [(partition_gen, ()), (qfunctions._odd_parts_product, ())]
 
-# Every function the store serves: the catalogue and the three builders it leaves out.
+# Every function the store serves: the catalogue and the four builders it leaves out.
 STORE_BUILDERS = {builder for builder, _ in STORE_ROUTES}
 
 
@@ -890,7 +887,8 @@ class _NoAccess(dict):
 
 class TestStore:
     def test_routes_cover_the_catalogue(self):
-        catalogued = [r for r in STORE_ROUTES if r[0] not in (refined_series, dcount_series, partition_gen)]
+        uncatalogued = (refined_series, dcount_series, partition_gen, qfunctions._odd_parts_product)
+        catalogued = [r for r in STORE_ROUTES if r[0] not in uncatalogued]
         assert len(catalogued) == len(ROUTE_SHA256)
 
     @settings(max_examples=20, deadline=None)

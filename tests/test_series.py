@@ -20,6 +20,7 @@ from qmex.series import (
     _kronecker_mul,
     _newton_invert,
     _pack,
+    _shift_round,
     _sparse_cutoff,
     _sparse_mul,
     _unpack,
@@ -532,8 +533,19 @@ def slot_coefficients(draw):
     return w, cs
 
 
+@st.composite
+def shifted_slots(draw):
+    """A slot width w of 1-40 bytes, slots in (-h, h) with -(h-1) and h-1 among them, and 1 <= s <= their count."""
+    w = draw(st.integers(min_value=1, max_value=40))
+    h = 1 << (8 * w - 1)
+    cs = draw(st.lists(st.integers(min_value=-(h - 1), max_value=h - 1), max_size=12))
+    for extreme in (-(h - 1), h - 1):
+        cs.insert(draw(st.integers(min_value=0, max_value=len(cs))), extreme)
+    return w, cs, draw(st.integers(min_value=1, max_value=len(cs)))
+
+
 class TestSlotCodec:
-    """_pack and _unpack, the slot codec of _kronecker_mul and of the qfunctions slice streams."""
+    """_pack, _unpack and _shift_round, the slot codec of _kronecker_mul, poch and the qfunctions slice streams."""
 
     @settings(max_examples=80, deadline=None)
     @given(slot_coefficients())
@@ -546,6 +558,16 @@ class TestSlotCodec:
         packed = _pack(cs, w)
         for k in range(len(cs) + 1):
             assert _unpack(packed, k, w) == cs[:k]
+
+    @settings(max_examples=80, deadline=None)
+    @given(shifted_slots())
+    # the dropped slot is -1, so the floor of 5 * 256 - 1 over 256 reads 4, one off
+    @example(case=(1, [-1, 5], 1))
+    # the widest slot, both extremes dropped and kept
+    @example(case=(40, [-(2**319 - 1), 2**319 - 1, -(2**319 - 1), 2**319 - 1], 2))
+    def test_shift_round_drops_the_lowest_slots(self, case):
+        w, cs, s = case
+        assert _unpack(_shift_round(_pack(cs, w), 8 * w * s), len(cs) - s, w) == cs[s:]
 
 
 class TestSparseKernel:
