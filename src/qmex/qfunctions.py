@@ -18,7 +18,7 @@ over distinct parts is no such sum: it runs forward over the number of
 parts, two divisions a step.
 
 The slices of the refined families come from one running quotient per
-family (_slices), one int in the frame of series.poch, q^d in slot
+family (_slices), one int packed as series._pack packs, q^d in slot
 order - d: a mex tail (-q^{m+1};q)_inf is the previous one divided by
 (1 + q^m), O(log(order/m)) shifts and adds, each exact since every
 coefficient on the way is at most Q(n) <= e^{pi sqrt(n/3)} in absolute
@@ -439,8 +439,8 @@ def _slices(
 ) -> Iterator[tuple[int, int, int]]:
     """Yield (k, low, body) for every slice k >= start of a family nonzero at order.
 
-    low is the lowest exponent of slice k, and body packs the slice in
-    the frame of series.poch, q^d in slot order - d of w bytes. One
+    low is the lowest exponent of slice k, and body packs the slice as
+    series._pack does, q^d in slot order - d of w bytes. One
     running int steps from each slice to the next, first shifted right
     by the step of low, which drops the terms past q^order:
 
@@ -461,7 +461,7 @@ def _slices(
     first, lowest = _FAMILIES[kind]
     maex = kind is RefinedKind.MAEX
     bits = 8 * w
-    run = 1 << bits * order if maex else _pack(distinct_gen(order).coefficients()[::-1], w)
+    run = 1 << bits * order if maex else _pack(distinct_gen(order).coefficients(), w)
     done = 0  # the lowest exponent run is shifted to
     for k in count(first):
         low = lowest(k)
@@ -491,23 +491,23 @@ def _slices(
 def _slice_lists(kind: RefinedKind | None, order: int, start: int = 0) -> Iterator[tuple[int, int, list]]:
     """(k, low, coefficients 0..order - low of slice k / q^low) of _slices for every k >= start.
 
-    The stream runs at _slot_bytes(order, 1), which holds one slice and every step on the way.
+    The stream runs at _slot_bytes(order, 1), which holds one slice and every step; q^low tops each body.
     """
     w = _slot_bytes(order, 1)
     for k, low, body in _slices(kind, order, w, start):
-        yield k, low, _unpack(body, order + 1 - low, w)[::-1]
+        yield k, low, _unpack(body, order + 1 - low, w)
 
 
 def _sliced(kind: RefinedKind | None, weight: Callable[[int], int]) -> Callable[[int], IntSeries]:
     """sum_k weight(k) * slice k of a family (None: the mex > i tails of dcount_series).
 
     Every slice of _slices nonzero at the order, unless its weight is 0,
-    is added as weight(k) * body into one int, with no shift since all
-    bodies share one frame, and series._unpack reads it once: a route
-    apart from the aggregate builders, which sum q-series terms and
-    multiply. The slots hold sum |weight(k)| Q(order) over every k whose
-    slice starts at or below the order (_slot_bytes), which bounds the
-    total and every step of the stream.
+    is added as weight(k) * body into one int, with no shift since every
+    body holds q^d in slot order - d, and series._unpack reads its
+    order + 1 slots once, q^0 first: a route apart from the aggregate
+    builders, which sum q-series terms and multiply. The slots hold
+    sum |weight(k)| Q(order) over every k whose slice starts at or below
+    the order (_slot_bytes), which bounds the total and every step.
     """
 
     def build(order: int) -> IntSeries:
@@ -518,7 +518,7 @@ def _sliced(kind: RefinedKind | None, weight: Callable[[int], int]) -> Callable[
         for k, _, body in _slices(kind, order, w):
             if weights[k - first]:
                 total += weights[k - first] * body
-        return IntSeries._trusted(_unpack(total, order + 1, w)[::-1])
+        return IntSeries._trusted(_unpack(total, order + 1, w))
 
     return build
 

@@ -19,17 +19,18 @@ slot codec the slice streams of qmex.qfunctions share, and multiplied
 by CPython's Karatsuba; from about 30,000 packed decimal digits they
 are packed in decimal digits and multiplied by the number-theoretic
 transform of the stdlib decimal module (libmpdec), with every rounding
-trapped.
+trapped. Every packed int holds c_0, ..., c_N in slots N, ..., 0 of w
+bytes, so a product by q^e is a right shift by e slots, which drops the
+terms past q^N, rounded to nearest by _shift_round: exact while each
+dropped slot is below 2^(8w-1) in absolute value.
 
 Unbounded q-Pochhammer style products are handled by :func:`poch`,
 which simply omits factors whose lowest exponent exceeds the truncation
 order. Such a factor is 1 + O(q^{N+1}) and cannot change any retained
 coefficient, so the truncated product is still exact. poch and the
-slice streams keep a series in one frame of that codec, q^d in slot
-N - d of w bytes: a product by q^e is a right shift by e slots, which
-drops the terms past q^N with no mask, rounded to nearest by
-_shift_round, exact while no slot exceeds in absolute value the count
-Q(n) <= e^{pi sqrt(n/3)} of distinct partitions of n <= N (_slot_bytes).
+slice streams step their running products by rounded shifts, with slots
+as wide as the count Q(n) <= e^{pi sqrt(n/3)} of distinct partitions of
+n <= N (_slot_bytes); the Kronecker product reads its result by one.
 
 IntSeries.invert walks the recurrence over the support of the series
 while it has at most _sparse_cutoff(N) nonzero entries, the rule of the
@@ -245,8 +246,8 @@ def poch(sign: int, a: int, step: int, count: int | None, order: int) -> IntSeri
     poch(+1, 1, 1, INFINITE, N) its two-line relative (-q; q)_N, whose
     coefficients count partitions into distinct parts.
 
-    The running product is one int in that frame, w = _slot_bytes(N, 1).
-    Times 1 + sign * q^e it gains or loses itself shifted right by e
+    The running product is one packed int, w = _slot_bytes(N, 1), q^0 on
+    top. Times 1 + sign * q^e it gains or loses itself shifted right by e
     slots. Each partial product is a product of binomials with distinct
     exponents, so its coefficients are signed counts of partitions into
     distinct parts, and _shift_round is exact; with sign +1 they are
@@ -271,7 +272,7 @@ def poch(sign: int, a: int, step: int, count: int | None, order: int) -> IntSeri
             run += run >> bits * e
         else:
             run -= _shift_round(run, bits * e)
-    return IntSeries._trusted(_unpack(run, order + 1, w)[::-1])
+    return IntSeries._trusted(_unpack(run, order + 1, w))
 
 
 def _newton_invert(cs: Sequence[int]) -> list[int]:
@@ -358,11 +359,11 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     slot through str. Every other product is packed in bytes, as follows.
 
     With slots of w bytes such that bound < h = 2^(8w-1), X = 2^(8w),
-    _pack packs both operands and _unpack reads the product mod
-    X^(n+1): every retained |c| < h, and the slots at and above n+1 are
-    multiples of X^(n+1), which vanish whatever their sign. Both are
-    linear; the multiplication is CPython's Karatsuba, which squares
-    when both operands are equal.
+    _pack puts a_i in slot n - i, so the product holds c_k in slot
+    2n - k. Its n lowest slots, c_(n+1), ..., c_2n, are each below h in
+    absolute value, so _shift_round drops them exactly, and _unpack reads
+    the n + 1 left. The multiplication is CPython's Karatsuba, which
+    squares when both operands are equal.
     """
     bound = (n + 1) * max(map(abs, a)) * max(map(abs, b))
     if not bound:
@@ -375,7 +376,7 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     w = bound.bit_length() // 8 + 1
     x = _pack(a, w)
     y = x if a == b else _pack(b, w)
-    return _unpack(x * y, n + 1, w)
+    return _unpack(_shift_round(x * y, 8 * w * n), n + 1, w)
 
 
 def _slot_bytes(order: int, weight_total: int) -> int:
@@ -397,36 +398,36 @@ def _slot_bytes(order: int, weight_total: int) -> int:
 def _shift_round(x: int, bits: int) -> int:
     """x / 2^bits rounded to nearest, halves up: the floor plus bit bits - 1 of x.
 
-    With bits = 8ws it drops s slots, exactly while each is in (-h, h),
-    h = 2^(8w-1); the floor is one off when the dropped part is < 0.
+    With bits = 8ws it drops the s lowest slots, exactly while each is in
+    (-h, h), h = 2^(8w-1), so the dropped part is below 2^(8ws-1) in
+    absolute value; the floor is one off when it is < 0. bits = 0 returns x.
     """
     shifted = x >> bits
-    if x & (1 << bits - 1):
+    if bits and x & (1 << bits - 1):
         shifted += 1
     return shifted
 
 
 def _pack(cs: Sequence[int], w: int) -> int:
-    """c_j in [-h, h), h = 2^(8w-1), as sum c_j X^j with X = 2^(8w): slot j of w bytes.
+    """c_j in [-h, h), h = 2^(8w-1), as sum c_j X^(L-1-j), X = 2^(8w), L = len(cs): c_0 on top.
 
     h goes into every slot, which keeps each in [0, X), and comes off once as an int.
     """
     h = 1 << (8 * w - 1)
-    packed = b"".join([(c + h).to_bytes(w, "little") for c in cs])
-    return int.from_bytes(packed, "little") - int.from_bytes(h.to_bytes(w, "little") * len(cs), "little")
+    packed = b"".join([(c + h).to_bytes(w, "big") for c in cs])
+    return int.from_bytes(packed, "big") - int.from_bytes(h.to_bytes(w, "big") * len(cs), "big")
 
 
 def _unpack(packed: int, length: int, w: int) -> list[int]:
-    """The length signed w-byte slots of packed mod 2^(8w length), lowest first.
+    """The length signed w-byte slots of packed, the top slot first: the inverse of _pack.
 
-    h = 2^(8w-1) added to each low slot holds its coefficient in [-h, h)
-    at [0, 2h), so no borrow crosses a slot; the all-ones mask drops
-    every higher slot, whatever its sign.
+    h = 2^(8w-1) added to each slot holds its coefficient in [-h, h) at
+    [0, 2h), so no borrow crosses a slot. A nonzero slot above length
+    leaves the sum outside [0, 2^(8w length)): to_bytes raises OverflowError.
     """
     h = 1 << (8 * w - 1)
-    bias = int.from_bytes(h.to_bytes(w, "little") * length, "little")
-    raw = ((packed + bias) & ((1 << 8 * w * length) - 1)).to_bytes(w * length, "little")
-    return [int.from_bytes(raw[i : i + w], "little") - h for i in range(0, w * length, w)]
+    raw = (packed + int.from_bytes(h.to_bytes(w, "big") * length, "big")).to_bytes(w * length, "big")
+    return [int.from_bytes(raw[i : i + w], "big") - h for i in range(0, w * length, w)]
 
 
 def _decimal_kronecker(a: Sequence[int], b: Sequence[int], n: int, d: int) -> list[int]:
@@ -434,13 +435,13 @@ def _decimal_kronecker(a: Sequence[int], b: Sequence[int], n: int, d: int) -> li
 
     10^(d-1) > bound >= max|a|, max|b|, so with h = 5 * 10^(d-1) every
     operand and product slot holds a value in (4, 6) * 10^(d-1): exactly
-    d digits, no carry between slots. Packing is one str per coefficient
-    and one Decimal per operand; the product's string is 2n+1 slots of d
-    digits, and each retained slot goes back through one int. The
-    context has the largest precision and exponent range and traps
-    Inexact and Rounded, so a product that would lose a digit raises
-    instead of returning. decimal is imported here, at the first large
-    product, not by import qmex.
+    d digits, no carry between slots. Packing is one str per coefficient,
+    c_0 first, and one Decimal per operand; the product's string is 2n+1
+    slots of d digits, c_0 first, and each of the first n+1 goes back
+    through one int. The context has the largest precision and exponent
+    range and traps Inexact and Rounded, so a product that would lose a
+    digit raises instead of returning. decimal is imported here, at the
+    first large product, not by import qmex.
     """
     import decimal
 
@@ -460,14 +461,13 @@ def _decimal_kronecker(a: Sequence[int], b: Sequence[int], n: int, d: int) -> li
         return ctx.add(ctx.scaleb(twice, d), h) if k % 2 else twice
 
     def pack(cs: Sequence[int]) -> decimal.Decimal:
-        packed = decimal.Decimal("".join(map(str, map(h.__add__, reversed(cs)))))
+        packed = decimal.Decimal("".join(map(str, map(h.__add__, cs))))
         return ctx.subtract(packed, bias(len(cs)))
 
     x = pack(a)
     y = x if a == b else pack(b)
-    full = 2 * n + 1
-    raw = str(ctx.add(ctx.multiply(x, y), bias(full)))
-    return [int(raw[i : i + d]) - h for i in range(d * (full - 1), d * (n - 1), -d)]
+    raw = str(ctx.add(ctx.multiply(x, y), bias(2 * n + 1)))
+    return [int(raw[i : i + d]) - h for i in range(0, d * (n + 1), d)]
 
 
 # ----------------------------------------------------------------------

@@ -7,10 +7,11 @@ the kernels they replaced: Kronecker substitution in bytes multiplied by
 CPython's own integers, and the schoolbook double loop over the sparse
 support.
 
-binary_kronecker_mul is also the reference for the full-bias read that
-the binary branch of _kronecker_mul dropped: it biases all 2n+1 slots of
-the product and reads them as bytes, where _kronecker_mul now reads only
-the n+1 retained slots mod X^(n+1) through qmex.series._unpack.
+binary_kronecker_mul is also the slot-j reference: it puts coefficient j
+in slot j, biases all 2n+1 slots of the product and reads the n+1 lowest
+as bytes. qmex.series packs every integer the other way round, q^0 in
+the top slot, so _kronecker_mul drops the n lowest slots of the product
+by one rounded shift and reads the n+1 left through qmex.series._unpack.
 
 loop_poch is the list loop qmex.series.poch ran before it moved to one
 packed int: one in-place binomial product per factor. loop_invert is

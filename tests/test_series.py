@@ -535,13 +535,22 @@ def slot_coefficients(draw):
 
 @st.composite
 def shifted_slots(draw):
-    """A slot width w of 1-40 bytes, slots in (-h, h) with -(h-1) and h-1 among them, and 1 <= s <= their count."""
+    """A slot width w of 1-40 bytes, slots in (-h, h) with -(h-1) and h-1 among them, and 0 <= s <= their count."""
     w = draw(st.integers(min_value=1, max_value=40))
     h = 1 << (8 * w - 1)
     cs = draw(st.lists(st.integers(min_value=-(h - 1), max_value=h - 1), max_size=12))
     for extreme in (-(h - 1), h - 1):
         cs.insert(draw(st.integers(min_value=0, max_value=len(cs))), extreme)
-    return w, cs, draw(st.integers(min_value=1, max_value=len(cs)))
+    return w, cs, draw(st.integers(min_value=0, max_value=len(cs)))
+
+
+@st.composite
+def packed_with_top_slots(draw):
+    """slot_coefficients, some of the top slots zeroed, and a length 0 <= k below their count."""
+    w, cs = draw(slot_coefficients())
+    zeroed = draw(st.integers(min_value=0, max_value=len(cs)))
+    cs[:zeroed] = [0] * zeroed
+    return w, cs, draw(st.integers(min_value=0, max_value=len(cs) - 1))
 
 
 class TestSlotCodec:
@@ -549,25 +558,50 @@ class TestSlotCodec:
 
     @settings(max_examples=80, deadline=None)
     @given(slot_coefficients())
-    # at k = 3 every slot above k is negative, -h among them: the mask must drop them
-    @example(case=(1, [5, -7, 127, -128, -1, -128]))
+    # at k = 3 every kept slot is negative, -h among them, and the dropped part
+    # 127 X^2 - 7 X + 5 is just below X^3 / 2: the read must round down
+    @example(case=(1, [-128, -1, -128, 127, -7, 5]))
     # the widest slot, both extremes
-    @example(case=(40, [0, -(2**319), -1, 2**319 - 1, -(2**319)]))
+    @example(case=(40, [-(2**319), 2**319 - 1, -1, -(2**319), 0]))
     def test_unpack_reads_every_prefix_of_a_pack(self, case):
         w, cs = case
+        h = 1 << (8 * w - 1)
         packed = _pack(cs, w)
+        assert _unpack(packed, len(cs), w) == cs
+        # the top k slots, read as _kronecker_mul reads a product: exact while every
+        # dropped slot is in (-h, h), which the product's bound < h keeps
         for k in range(len(cs) + 1):
-            assert _unpack(packed, k, w) == cs[:k]
+            if -h not in cs[k:]:
+                assert _unpack(_shift_round(packed, 8 * w * (len(cs) - k)), k, w) == cs[:k]
 
     @settings(max_examples=80, deadline=None)
     @given(shifted_slots())
     # the dropped slot is -1, so the floor of 5 * 256 - 1 over 256 reads 4, one off
-    @example(case=(1, [-1, 5], 1))
+    @example(case=(1, [5, -1], 1))
     # the widest slot, both extremes dropped and kept
-    @example(case=(40, [-(2**319 - 1), 2**319 - 1, -(2**319 - 1), 2**319 - 1], 2))
+    @example(case=(40, [2**319 - 1, -(2**319 - 1), 2**319 - 1, -(2**319 - 1)], 2))
+    # s = 0 shifts by 0 bits, which has no rounding bit
+    @example(case=(1, [5, -1], 0))
     def test_shift_round_drops_the_lowest_slots(self, case):
         w, cs, s = case
-        assert _unpack(_shift_round(_pack(cs, w), 8 * w * s), len(cs) - s, w) == cs[s:]
+        assert _unpack(_shift_round(_pack(cs, w), 8 * w * s), len(cs) - s, w) == cs[: len(cs) - s]
+
+    @settings(max_examples=80, deadline=None)
+    @given(packed_with_top_slots())
+    # the slot above is -1 or +1 over slots an all-ones mask would have read as [5, -7]
+    @example(case=(1, [-1, 5, -7], 2))
+    @example(case=(1, [1, 5, -7], 2))
+    # the slot above is -h or h - 1 over the two extremes
+    @example(case=(40, [-(2**319), 2**319 - 1, -(2**319)], 2))
+    @example(case=(40, [2**319 - 1, -(2**319), 2**319 - 1], 2))
+    def test_unpack_refuses_a_nonzero_slot_above_its_length(self, case):
+        w, cs, k = case
+        packed = _pack(cs, w)
+        if any(cs[: len(cs) - k]):
+            with pytest.raises(OverflowError):
+                _unpack(packed, k, w)
+        else:
+            assert _unpack(packed, k, w) == cs[len(cs) - k :]
 
 
 class TestSparseKernel:
