@@ -99,9 +99,9 @@ class CacheInfo(NamedTuple):
 
 
 # Largest order any builder accepts. Measured cold builds at MAX_ORDER
-# take 0.6-1.1 s (sigma-d-moex alt1), 0.16-0.28 s (sigma-d-maex) and at
-# most 0.40 s for every other route (fresh processes, 2-core x86-64 VM,
-# Python 3.11).
+# take 0.55-0.57 s (sigma-d-moex alt1), 0.12-0.18 s (sigma-d-maex),
+# 0.02 s (sigma-star) and at most 0.29 s for every other route (median
+# of 3 fresh processes each, 2-core x86-64 VM, Python 3.11).
 MAX_ORDER = 8000
 
 # The longest series built so far per (builder, positional arguments after order).

@@ -10,19 +10,21 @@ operand order instead of padding with zeros, so a truncation artifact
 can never masquerade as a genuine coefficient.
 
 Products have one kernel per shape behind IntSeries.__mul__. When one
-operand is sparse (a theta-like sum, a pentagonal product), one slice
-update per nonzero entry costs O(nnz * N). Otherwise Kronecker
-substitution packs each operand into one integer, multiplies the two
-integers once, and reads the coefficients back from the digits of the
-product. Small operands are packed in bytes by _pack and _unpack, the
-slot codec the slice streams of qmex.qfunctions share, and multiplied
-by CPython's Karatsuba; from about 30,000 packed decimal digits they
-are packed in decimal digits and multiplied by the number-theoretic
-transform of the stdlib decimal module (libmpdec), with every rounding
-trapped. Every packed int holds c_0, ..., c_N in slots N, ..., 0 of w
-bytes, so a product by q^e is a right shift by e slots, which drops the
-terms past q^N, rounded to nearest by _shift_round: exact while each
-dropped slot is below 2^(8w-1) in absolute value.
+operand is sparse (a theta-like sum, a pentagonal product), the dense
+one is packed into one integer, and each nonzero entry adds its multiple
+of that integer shifted by its exponent: O(nnz * N) big-integer work.
+Otherwise Kronecker substitution packs each operand into one integer,
+multiplies the two integers once, and reads the coefficients back from
+the digits of the product. Small operands are packed in bytes by _pack
+and _unpack, the slot codec the slice streams of qmex.qfunctions share,
+and multiplied by CPython's Karatsuba; from about 30,000 packed decimal
+digits they are packed in decimal digits and multiplied by the
+number-theoretic transform of the stdlib decimal module (libmpdec),
+with every rounding of the product trapped. Every packed int holds
+c_0, ..., c_N in slots N, ..., 0 of w bytes, so a product by q^e is a
+right shift by e slots, which drops the terms past q^N, rounded to
+nearest by _shift_round: exact while each dropped slot is below
+2^(8w-1) in absolute value.
 
 Unbounded q-Pochhammer style products are handled by :func:`poch`,
 which simply omits factors whose lowest exponent exceeds the truncation
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import accumulate, compress
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -138,8 +141,8 @@ class IntSeries:
 
         Two kernels give the same coefficients, chosen by one fixed rule
         on the sparser operand. With at most _sparse_cutoff(N) = 24 + N // 20
-        nonzero entries (the measured crossover), one slice update per
-        entry costs O(nnz * N) coefficient operations. Otherwise the
+        nonzero entries, _sparse_mul packs the other operand once and adds
+        it shifted once per entry: O(nnz * N) big-integer work. Otherwise the
         product is one big-integer multiplication by Kronecker
         substitution, in bytes below _DECIMAL_MIN_DIGITS packed decimal
         digits and in decimal digits by libmpdec from there; see
@@ -307,30 +310,47 @@ def _newton_invert(cs: Sequence[int]) -> list[int]:
 def _sparse_cutoff(n: int) -> int:
     """Most nonzero entries of the sparser operand for which _sparse_mul runs.
 
-    The crossover measured against _kronecker_mul, a random +-1 operand
-    times (-q;q)_inf, lies near 30 nonzero entries at order 100, 55 at
-    500, 85 at 1000, 150 at 2000, 235 at 4000 and 290-320 at 6000-8000
-    (2-core x86-64 VM, Python 3.11). It bends below linear because the
-    decimal branch of _kronecker_mul grows as n log n above its size rule.
+    The packed _sparse_mul, a random +-1 operand times (-q;q)_inf, beats
+    _kronecker_mul up to about 40-60 nonzero entries at order 100, 100-115
+    at 300, 190 at 500, 300 at 1000, 330 at 2000, 450 at 4000, 490 at
+    6000 and 420-530 at 8000 (2-core x86-64 VM, Python 3.11; the slice
+    update loop it replaced crossed near 30, 85, 150 and 290-320 at 100,
+    1000, 2000 and 8000). It bends below linear because the decimal branch
+    of _kronecker_mul grows as n log n above its size rule. The rule stays
+    below the crossover, since it also decides IntSeries.invert between
+    the support recurrence and Newton's iteration.
     """
     return 24 + n // 20
 
 
 def _sparse_mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """Schoolbook product over the support of a: O(nnz(a) * n).
+    """Schoolbook product over the support of a, on one packed int: O(nnz(a) * n).
 
-    Each nonzero a_i adds a_i * b to out[i:] as one slice update; the
-    common +-1 entries add or subtract b without multiplying.
+    b is packed once in slots of w bytes, b_0 on top, with
+    bound = sum |a_i| * max|b| < h = 2^(8w-1), which bounds every product
+    coefficient. Each nonzero a_i adds a_i times the pack shifted right by
+    i slots, which is b times q^i cut at q^n: the dropped slots are b's
+    own, each below h in absolute value, so _shift_round drops them
+    exactly. The common +-1 entries add or subtract without multiplying,
+    and _unpack reads the n + 1 slots of the sum once.
     """
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a):
+    bound = sum(map(abs, a)) * max(map(abs, b))
+    if not bound:
+        return [0] * (n + 1)
+    w = bound.bit_length() // 8 + 1
+    bits = 8 * w
+    packed = _pack(b, w)
+    acc = 0
+    for i in compress(range(n + 1), a):
+        ai = a[i]
+        term = _shift_round(packed, bits * i)
         if ai == 1:
-            out[i:] = map(add, out[i:], b)
+            acc += term
         elif ai == -1:
-            out[i:] = map(sub, out[i:], b)
-        elif ai:
-            out[i:] = map(add, out[i:], map(ai.__mul__, b))
-    return out
+            acc -= term
+        else:
+            acc += ai * term
+    return _unpack(acc, n + 1, w)
 
 
 # Fewest packed decimal digits of one operand, n+1 slots of d digits,
@@ -434,14 +454,18 @@ def _decimal_kronecker(a: Sequence[int], b: Sequence[int], n: int, d: int) -> li
     """_kronecker_mul in radix X = 10^d, multiplied by libmpdec.
 
     10^(d-1) > bound >= max|a|, max|b|, so with h = 5 * 10^(d-1) every
-    operand and product slot holds a value in (4, 6) * 10^(d-1): exactly
-    d digits, no carry between slots. Packing is one str per coefficient,
-    c_0 first, and one Decimal per operand; the product's string is 2n+1
-    slots of d digits, c_0 first, and each of the first n+1 goes back
-    through one int. The context has the largest precision and exponent
-    range and traps Inexact and Rounded, so a product that would lose a
-    digit raises instead of returning. decimal is imported here, at the
-    first large product, not by import qmex.
+    operand slot plus h holds a value in (4, 6) * 10^(d-1): exactly d
+    digits, no carry between slots. Packing is one str per coefficient,
+    c_0 first, and one Decimal per operand. The product holds c_k in
+    slot 2n - k; its n lowest slots are each below h = X/2 in absolute
+    value, so the product over X^n rounded to nearest is exactly the n + 1
+    slots above them, as in the binary branch. Those n + 1 slots are
+    biased by h and read from one string of (n + 1) d digits, each through
+    one int. The context has the largest precision and exponent range and
+    traps Inexact and Rounded, so a product that would lose a digit raises
+    instead of returning; the one rounding is done in a context of its
+    own. decimal is imported here, at the first large product, not by
+    import qmex.
     """
     import decimal
 
@@ -449,6 +473,12 @@ def _decimal_kronecker(a: Sequence[int], b: Sequence[int], n: int, d: int) -> li
         prec=decimal.MAX_PREC,
         Emax=decimal.MAX_EMAX,
         traps=[decimal.Inexact, decimal.Rounded],
+    )
+    nearest = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        rounding=decimal.ROUND_HALF_EVEN,
+        traps=[],
     )
     h = 5 * 10 ** (d - 1)
 
@@ -466,7 +496,8 @@ def _decimal_kronecker(a: Sequence[int], b: Sequence[int], n: int, d: int) -> li
 
     x = pack(a)
     y = x if a == b else pack(b)
-    raw = str(ctx.add(ctx.multiply(x, y), bias(2 * n + 1)))
+    top = nearest.to_integral_value(ctx.scaleb(ctx.multiply(x, y), -n * d))
+    raw = str(ctx.add(top, bias(n + 1)))
     return [int(raw[i : i + d]) - h for i in range(0, d * (n + 1), d)]
 
 
@@ -475,8 +506,9 @@ def _decimal_kronecker(a: Sequence[int], b: Sequence[int], n: int, d: int) -> li
 #
 # These operate on plain coefficient lists so that the builder module's
 # _nested_sum, sigma_d_maex_series and a-d ALT1, whose steps are single
-# binomials and shifts, run in O(N) per step. They are not part of the
-# public surface.
+# binomials and shifts, run in O(N) per step: one zip or running sum in
+# C per step, except a division by 1 + q^m, which steps one coefficient
+# at a time. They are not part of the public surface.
 
 
 def _mul_binomial_inplace(c: list[int], sign: int, m: int) -> None:
@@ -492,7 +524,13 @@ def _mul_binomial_inplace(c: list[int], sign: int, m: int) -> None:
 
 
 def _div_binomial_inplace(c: list[int], sign: int, m: int) -> None:
-    """c /= (1 + sign*q^m) via g[j] = f[j] - sign*g[j-m], ascending j."""
+    """c /= (1 + sign*q^m) via g[j] = f[j] - sign*g[j-m], ascending j.
+
+    With sign -1 each residue class j = r mod m is one running sum,
+    accumulated in C; the classes r >= len(c) - m hold one entry and stay
+    as they are. Sign +1 steps one coefficient at a time: alternating
+    running sums and block map steps both measured slower than that loop.
+    """
     if m < 1:
         raise ValueError("binomial exponent must be positive")
     if m >= len(c):
@@ -501,8 +539,8 @@ def _div_binomial_inplace(c: list[int], sign: int, m: int) -> None:
         for j in range(m, len(c)):
             c[j] -= c[j - m]
     else:
-        for j in range(m, len(c)):
-            c[j] += c[j - m]
+        for r in range(min(m, len(c) - m)):
+            c[r::m] = accumulate(c[r::m])
 
 
 def _shift_inplace(c: list[int], a: int) -> None:

@@ -1,22 +1,25 @@
 """Kernels qmex.series used before, kept as test oracles.
 
 qmex.series._kronecker_mul packs large operands in decimal digits and
-multiplies them with libmpdec, and qmex.series._sparse_mul adds one
-slice per nonzero entry. binary_kronecker_mul and loop_sparse_mul are
-the kernels they replaced: Kronecker substitution in bytes multiplied by
-CPython's own integers, and the schoolbook double loop over the sparse
-support.
+multiplies them with libmpdec, and qmex.series._sparse_mul packs the
+dense operand once and adds it shifted once per nonzero entry of the
+sparse one. binary_kronecker_mul and loop_sparse_mul are the kernels
+they replaced: Kronecker substitution in bytes multiplied by CPython's
+own integers, and the schoolbook double loop over the sparse support.
 
 binary_kronecker_mul is also the slot-j reference: it puts coefficient j
 in slot j, biases all 2n+1 slots of the product and reads the n+1 lowest
 as bytes. qmex.series packs every integer the other way round, q^0 in
 the top slot, so _kronecker_mul drops the n lowest slots of the product
-by one rounded shift and reads the n+1 left through qmex.series._unpack.
+by one rounded shift and reads the n+1 left through qmex.series._unpack;
+its decimal branch drops them by one rounding to nearest.
 
 loop_poch is the list loop qmex.series.poch ran before it moved to one
 packed int: one in-place binomial product per factor. loop_invert is
 the support recurrence that IntSeries.invert keeps only for sparse
-series, run on every series.
+series, run on every series. loop_div_binomial is the coefficient loop
+of qmex.series._div_binomial_inplace, which keeps it for sign +1 and
+takes one running sum per residue class for sign -1.
 """
 
 from typing import Sequence
@@ -82,4 +85,12 @@ def loop_invert(cs: Sequence[int]) -> list[int]:
             acc += cs[i] * g[m - i]
         if acc:
             g[m] = -c0 * acc
+    return g
+
+
+def loop_div_binomial(cs: Sequence[int], sign: int, m: int) -> list[int]:
+    """cs / (1 + sign q^m) truncated to len(cs) - 1: g_j = cs_j - sign g_(j-m), ascending j."""
+    g = list(cs)
+    for j in range(m, len(g)):
+        g[j] -= sign * g[j - m]
     return g

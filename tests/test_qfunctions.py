@@ -547,14 +547,20 @@ class TestPentagonalRoute:
         assert qfunctions._euler_product(s, order) == poch(-1, s, s, INFINITE, order)
 
     def test_builds_without_poch(self, monkeypatch):
-        # with poch and the rounded shift of its sign -1 factors disabled, under the
-        # names series and qfunctions both bind, both still meet their order-500 pins
+        # with poch disabled under the names series and qfunctions both bind, both still
+        # meet their order-500 pins. The Euler products take neither poch nor the rounded
+        # shift of its sign -1 factors; the sparse product that follows them rounds its
+        # own shifts, so _shift_round is disabled around _euler_product alone
         def no_poch(*args, **kwargs):
             raise AssertionError("poch ran")
 
         for module in (series, qfunctions):
             monkeypatch.setattr(module, "poch", no_poch)
-            monkeypatch.setattr(module, "_shift_round", no_poch)
+        with monkeypatch.context() as patch:
+            for module in (series, qfunctions):
+                patch.setattr(module, "_shift_round", no_poch)
+            for s in (1, 2):
+                assert qfunctions._euler_product(s, 500).order == 500
         clear_cache()
         for name, builder in (("distinct", distinct_gen), ("a", a_series)):
             digest = hashlib.sha256(",".join(map(str, builder(500).coefficients())).encode()).hexdigest()

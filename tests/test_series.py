@@ -17,6 +17,7 @@ from qmex.series import (
     INFINITE,
     IntSeries,
     NumericalIntegrityError,
+    _div_binomial_inplace,
     _kronecker_mul,
     _newton_invert,
     _pack,
@@ -28,7 +29,7 @@ from qmex.series import (
     poch,
 )
 
-from product_oracle import binary_kronecker_mul, loop_invert, loop_poch, loop_sparse_mul
+from product_oracle import binary_kronecker_mul, loop_div_binomial, loop_invert, loop_poch, loop_sparse_mul
 
 
 def brute_mul(a, b):
@@ -611,7 +612,7 @@ class TestSparseKernel:
         st.lists(st.sampled_from([1, -1, 2, -5, 2**70, -(2**90)]), max_size=40),
         st.integers(min_value=0),
     )
-    def test_slice_updates_match_the_double_loop(self, n, values, seed):
+    def test_packed_product_matches_the_double_loop(self, n, values, seed):
         rng = random.Random(seed)
         sparse = [0] * (n + 1)
         for i, v in zip(rng.sample(range(n + 1), min(len(values), n + 1)), values):
@@ -619,6 +620,47 @@ class TestSparseKernel:
         dense = [rng.randint(-(2**80), 2**80) for _ in range(n + 1)]
         want = loop_sparse_mul(sparse, dense, n)
         assert _sparse_mul(tuple(sparse), tuple(dense), n) == want == brute_mul(sparse, dense)
+
+    @pytest.mark.parametrize(
+        "sparse, dense",
+        [
+            # order 0: one slot, shifted by 0 bits
+            ([-3], [7]),
+            ([0], [-(2**200)]),
+            # a nonzero a_n keeps only the top slot of its shift
+            ([0, 0, 0, -1], [5, -6, 7, -8]),
+            ([1, 0, 0, 2**64], [2**200 - 1, -3, 1, -(2**200)]),
+            # an all-zero dense operand
+            ([1, -1, 0, 5], [0, 0, 0, 0]),
+            # |a_i| > 1 whose absolute sum, not its largest entry, sets the slot width:
+            # 3 * 64 * (2^200 - 1) passes the h = 2^207 that 64 * (2^200 - 1) alone needs
+            ([64, 64, 64, 0, 0], [2**200 - 1] * 5),
+            ([-64, 64, -64, 0, 0], [-(2**200 - 1), 2**200 - 1] * 2 + [1]),
+            # dense slots near +-2^200 of both signs; the shift by 2 drops a negative part,
+            # which a floor shift reads one too low
+            ([1, -1, 1, 0, 0, -1], [2**200, 2**200 - 1, -(2**200), -(2**200) + 1, -(2**200), 2**200]),
+        ],
+    )
+    def test_packed_product_examples(self, sparse, dense):
+        n = len(sparse) - 1
+        want = loop_sparse_mul(sparse, dense, n)
+        assert _sparse_mul(tuple(sparse), tuple(dense), n) == want == brute_mul(sparse, dense)
+
+
+class TestDivBinomial:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=2**32))
+    @example(length=0, seed=0)
+    @example(length=1, seed=0)
+    @example(length=300, seed=1)
+    def test_running_sums_match_the_loop(self, length, seed):
+        # signed coefficients up to 2^200, divided by 1 - q^m for every m in 1..length + 1:
+        # classes of one entry and m at or past the length included
+        cs = signed_coeffs(length - 1, 200, seed)
+        for m in range(1, length + 2):
+            got = list(cs)
+            _div_binomial_inplace(got, -1, m)
+            assert got == loop_div_binomial(cs, -1, m), m
 
 
 def test_import_loads_no_decimal():
