@@ -11,11 +11,11 @@ Every q-hypergeometric sum, sum_{n>=1} w_n t_n with a constant weight
 w_n and the ratio t_n / t_{n-1} a monomial times one or two binomial
 factors, runs through one kernel, _nested_sum, by Horner's rule from
 the innermost term out: O(N) list work a step on a window of the
-coefficients the outer terms can still reach. Four of those are one
+coefficients the outer terms can still reach. Five of those are one
 residue-class mex sum, _mex_sum, of Andrews and Newman's mex_{A,1}:
-sigma, the inner sums of a-d and sigma-d-moex, and a. The maex sum
-over distinct parts is no such sum: it runs forward over the number of
-parts, two divisions a step.
+sigma, the inner sums of a-d and sigma-d-moex, and the sparse factors
+of a and sigma-mex. The maex sum over distinct parts is no such sum:
+it runs forward over the number of parts, two divisions a step.
 
 The slices of the refined families come from one running quotient per
 family (_slices), one int packed as series._pack packs, q^d in slot
@@ -28,9 +28,11 @@ value (series._slot_bytes). The identity registry's slice sums
 1/(q;q)_inf is stored once (partition_gen), the inverse of a series
 that Euler's pentagonal theorem makes sparse (_euler_product);
 (-q;q)_inf, the factor most builders end with, is (q^2;q^2)_inf times
-it, the largest-part sum is it times the divisor-count series, and the
-maex sum over all partitions it times that plus sigma_star / 2 (Chern,
-2021).
+it, and the mex sum over all partitions is it times Gauss's psi, both
+sparse products. The largest-part sum is the divisor-count series
+divided by that sparse series, and the maex sum over all partitions
+that plus sigma_star / 2 divided by it (Chern, 2021): one
+series._sparse_quotient each, with no dense product.
 
 Every builder takes the order first, f(order, *key), and is served from
 one store: the longest series built per key serves each lower order by
@@ -62,6 +64,7 @@ from .series import (
     _shift_inplace,
     _shift_round,
     _slot_bytes,
+    _sparse_quotient,
     _unpack,
     poch,
 )
@@ -99,9 +102,11 @@ class CacheInfo(NamedTuple):
 
 
 # Largest order any builder accepts. Measured cold builds at MAX_ORDER
-# take 0.55-0.57 s (sigma-d-moex alt1), 0.12-0.18 s (sigma-d-maex),
-# 0.02 s (sigma-star) and at most 0.29 s for every other route (median
-# of 3 fresh processes each, 2-core x86-64 VM, Python 3.11).
+# take 0.90-1.17 s (sigma-d-moex alt1), 0.13-0.20 s (sigma-d-maex),
+# 0.02 s (sigma-star) and at most 0.25 s for every other route, sigma-mex
+# 0.13 s, sigma-l 0.09 s and chern-sigma-maex 0.12 s among them (median
+# of 8 fresh processes each, 2-core x86-64 VM shared with other work,
+# Python 3.11).
 MAX_ORDER = 8000
 
 # The longest series built so far per (builder, positional arguments after order).
@@ -265,8 +270,11 @@ def _euler_product(s: int, order: int) -> IntSeries:
 def partition_gen(order: int) -> IntSeries:
     """1/(q;q)_inf prefix: coefficient n counts all partitions of n.
 
-    The inverse of the sparse pentagonal series: the inversion walks
+    The inverse of the sparse pentagonal series: IntSeries.invert takes
+    series._sparse_quotient with numerator 1, two plain sums of
     O(sqrt(order)) terms per coefficient, O(order^1.5) in all.
+    sigma_L_series and chern_sigma_maex_series divide their numerators
+    by the same pentagonal series, one such quotient each.
     """
     return _euler_product(1, order).invert()
 
@@ -301,13 +309,16 @@ def sigma_d_mex_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
 
 @_builder("sigma-mex")
 def sigma_mex_series(order: int) -> IntSeries:
-    """Mex-sum over all partitions: (-q;q)_inf squared.
+    """Mex-sum over all partitions: partition_gen times Gauss's psi.
 
-    The same series counts pairs of distinct-part partitions by total
-    weight, which is how the oracle cross-checks it.
+    A partition with mex m holds 1..k just when k < m, so the sum is
+    sum_{k>=0} q^{k(k+1)/2} / (q;q)_inf (Andrews and Newman), psi(q)
+    times partition_gen: _mex_sum at (1, +1) off the distinct base, a
+    sparse operand as in a_series. By Gauss it equals (-q;q)_inf
+    squared, which counts pairs of distinct-part partitions by total
+    weight; that is how the oracle and the tests cross-check it.
     """
-    d = distinct_gen(order)
-    return d * d
+    return partition_gen(order) * IntSeries._trusted(_mex_sum(order, 1, 1, False))
 
 
 @_builder("a-d", (Form.CANONICAL, Form.ALT1))
@@ -411,13 +422,14 @@ def chern_sigma_maex_series(order: int) -> IntSeries:
 
     Chern ("Partitions and the maximal excludant", 2021) ties it to
     Andrews, Dyson and Hickerson's sigma_star: the sum is
-    sigma_L(q) + sigma_star(q) / (2 (q;q)_inf), that is partition_gen
-    times sum_n d(n) q^n + sigma_star / 2, one product. Every weight of
-    sigma_star is 2 (-1)^n, so the halving is exact.
+    sigma_L(q) + sigma_star(q) / (2 (q;q)_inf), that is
+    sum_n d(n) q^n + sigma_star / 2 over the sparse pentagonal series,
+    one _sparse_quotient. Every weight of sigma_star is 2 (-1)^n, so the
+    halving is exact.
     """
     star = sigma_star_series(order).coefficients()
     inner = [d + s // 2 for d, s in zip(_divisor_counts(order), star)]
-    return partition_gen(order) * IntSeries._trusted(inner)
+    return IntSeries._trusted(_sparse_quotient(inner, _euler_product(1, order).coefficients()))
 
 
 # ----------------------------------------------------------------------
@@ -593,9 +605,10 @@ def sigma_L_series(order: int) -> IntSeries:
     (Andrews, The Theory of Partitions, 1976), so this is the sum of the
     number of parts. The parts equal to k, counted over all partitions,
     have generating function q^k / (1 - q^k) / (q;q)_inf; summed over k
-    that is partition_gen times sum_n d(n) q^n, d(n) the divisor count.
+    that is sum_n d(n) q^n, d(n) the divisor count, over the sparse
+    pentagonal series: one _sparse_quotient.
     """
-    return partition_gen(order) * IntSeries._trusted(_divisor_counts(order))
+    return IntSeries._trusted(_sparse_quotient(_divisor_counts(order), _euler_product(1, order).coefficients()))
 
 
 # ----------------------------------------------------------------------

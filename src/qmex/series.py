@@ -34,11 +34,14 @@ slice streams step their running products by rounded shifts, with slots
 as wide as the count Q(n) <= e^{pi sqrt(n/3)} of distinct partitions of
 n <= N (_slot_bytes); the Kronecker product reads its result by one.
 
-IntSeries.invert walks the recurrence over the support of the series
-while it has at most _sparse_cutoff(N) nonzero entries, the rule of the
-product kernels, and otherwise runs Newton's iteration
-g <- g - g (f g - 1), which doubles the precision of g with two
-products through IntSeries.__mul__.
+Quotients f/g by a sparse g with g_0 = +-1 come from _sparse_quotient,
+which walks the recurrence over the support of g and sums the terms of
+each coefficient value of g before one multiplication by it; for the
+pentagonal series (q;q)_inf that is two plain sums a coefficient.
+IntSeries.invert takes it with f = 1 while the series has at most
+_sparse_cutoff(N) nonzero entries, the rule of the product kernels, and
+otherwise runs Newton's iteration g <- g - g (f g - 1), which doubles
+the precision of g with two products through IntSeries.__mul__.
 """
 
 from __future__ import annotations
@@ -166,17 +169,15 @@ class IntSeries:
 
         Over the integers this exists exactly when the constant term is
         +1 or -1; anything else raises ValueError. With at most
-        _sparse_cutoff(N) nonzero entries (the rule of __mul__; the
-        measured crossover against Newton lies between one and two times
-        it for random +-1 series at orders 300-2000, 2-core x86-64 VM,
-        Python 3.11) the standard recurrence
-        g_n = -(1/f_0) * sum_{i>=1} f_i g_{n-i} runs over the nonzero
-        support of f: O(nnz * N) interpreted steps. A denser f is
-        inverted by Newton's iteration: if g is the inverse to order p,
-        f g - 1 = q^{p+1} E, and g - q^{p+1} g E is the inverse to order
-        2p + 1. Each step is two products through __mul__, f g and the
-        low coefficients of g times E, and the orders double up to N, so
-        the whole inverse costs a few products of order N.
+        _sparse_cutoff(N) nonzero entries, the rule of __mul__, it is the
+        quotient 1/f of _sparse_quotient, which walks the recurrence
+        over the nonzero support of f: O(nnz * N) interpreted steps. A
+        denser f is inverted by Newton's iteration: if g is the inverse
+        to order p, f g - 1 = q^{p+1} E, and g - q^{p+1} g E is the
+        inverse to order 2p + 1. Each step is two products through
+        __mul__, f g and the low coefficients of g times E, and the
+        orders double up to N, so the whole inverse costs a few products
+        of order N.
         """
         c0 = self._coeffs[0]
         if c0 not in (1, -1):
@@ -186,20 +187,9 @@ class IntSeries:
             )
         n = self.order
         cs = self._coeffs
-        support = [i for i in range(1, n + 1) if cs[i]]
-        if len(support) + 1 > _sparse_cutoff(n):
+        if n + 1 - cs.count(0) > _sparse_cutoff(n):
             return IntSeries._trusted(_newton_invert(cs))
-        g = [0] * (n + 1)
-        g[0] = c0  # 1/c0 == c0 for units of Z
-        for m in range(1, n + 1):
-            acc = 0
-            for i in support:
-                if i > m:
-                    break
-                acc += cs[i] * g[m - i]
-            if acc:
-                g[m] = -c0 * acc
-        return IntSeries._trusted(g)
+        return IntSeries._trusted(_sparse_quotient([1] + [0] * n, cs))
 
     def eval_at(self, x: float) -> float:
         """Evaluate the truncated polynomial at a float point in (0, 1).
@@ -300,6 +290,33 @@ def _newton_invert(cs: Sequence[int]) -> list[int]:
     return g
 
 
+def _sparse_quotient(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """f/g to order len(g) - 1 for g[0] = +-1, over the support of g: O(nnz(g) * N).
+
+    h_m = g_0 (f_m - sum_{1<=i<=m} g_i h_{m-i}), since 1/g_0 = g_0. The
+    exponents i of g reached so far are grouped by the value g_i, each
+    group growing by m when g_m != 0, and each m sums the h_{m-i} of a
+    group before its one multiplication by that value. The pentagonal
+    series (q;q)_inf has the values -1 and +1 only, so each coefficient
+    of 1/(q;q)_inf, or of a numerator over it, is two plain sums of
+    O(sqrt(N)) terms.
+    """
+    n = len(g) - 1
+    groups: dict[int, list[int]] = {}  # value -> the exponents 1..m that hold it
+    h = [0] * (n + 1)
+    for m in range(n + 1):
+        if m and g[m]:
+            groups.setdefault(g[m], []).append(m)
+        acc = f[m]
+        for value, support in groups.items():
+            s = 0
+            for i in support:
+                s += h[m - i]
+            acc -= value * s
+        h[m] = acc if g[0] == 1 else -acc
+    return h
+
+
 # ----------------------------------------------------------------------
 # product kernels behind IntSeries.__mul__
 #
@@ -318,7 +335,12 @@ def _sparse_cutoff(n: int) -> int:
     1000, 2000 and 8000). It bends below linear because the decimal branch
     of _kronecker_mul grows as n log n above its size rule. The rule stays
     below the crossover, since it also decides IntSeries.invert between
-    the support recurrence and Newton's iteration.
+    _sparse_quotient and Newton's iteration. For a random +-1 series at
+    orders 300-4000, _sparse_quotient took 0.63-1.03 of Newton's time at
+    twice the rule and 0.54-1.44 at three and four times it (median of 3
+    series, best of 3 each), so the two cross near 2-4 times the rule;
+    the term-by-term loop it replaced crossed at 1.5-3 times at 300 and
+    about 1.5 times at 1000 and 2000.
     """
     return 24 + n // 20
 
@@ -526,20 +548,22 @@ def _mul_binomial_inplace(c: list[int], sign: int, m: int) -> None:
 def _div_binomial_inplace(c: list[int], sign: int, m: int) -> None:
     """c /= (1 + sign*q^m) via g[j] = f[j] - sign*g[j-m], ascending j.
 
-    With sign -1 each residue class j = r mod m is one running sum,
-    accumulated in C; the classes r >= len(c) - m hold one entry and stay
-    as they are. Sign +1 steps one coefficient at a time: alternating
-    running sums and block map steps both measured slower than that loop.
+    When 2m >= len(c), q^{2m} is past the order and
+    1/(1 + sign q^m) = 1 - sign q^m there: one _mul_binomial_inplace.
+    Otherwise, with sign -1, each residue class j = r mod m holds two
+    or more entries and is one running sum, accumulated in C. Sign +1
+    steps one coefficient at a time: alternating running sums and block
+    map steps both measured slower than that loop.
     """
     if m < 1:
         raise ValueError("binomial exponent must be positive")
-    if m >= len(c):
-        return
-    if sign > 0:
+    if 2 * m >= len(c):
+        _mul_binomial_inplace(c, -sign, m)
+    elif sign > 0:
         for j in range(m, len(c)):
             c[j] -= c[j - m]
     else:
-        for r in range(min(m, len(c) - m)):
+        for r in range(m):
             c[r::m] = accumulate(c[r::m])
 
 

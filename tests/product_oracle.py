@@ -16,10 +16,14 @@ its decimal branch drops them by one rounding to nearest.
 
 loop_poch is the list loop qmex.series.poch ran before it moved to one
 packed int: one in-place binomial product per factor. loop_invert is
-the support recurrence that IntSeries.invert keeps only for sparse
-series, run on every series. loop_div_binomial is the coefficient loop
+the support recurrence IntSeries.invert once ran for sparse series, run
+on every series, and loop_quotient is the same recurrence with a
+numerator: one multiplication a term, where
+qmex.series._sparse_quotient, which invert now calls, sums the terms of
+each coefficient value first. loop_div_binomial is the coefficient loop
 of qmex.series._div_binomial_inplace, which keeps it for sign +1 and
-takes one running sum per residue class for sign -1.
+takes one running sum per residue class for sign -1, each while q^2m is
+within the order; past it the division is one binomial product.
 """
 
 from typing import Sequence
@@ -86,6 +90,21 @@ def loop_invert(cs: Sequence[int]) -> list[int]:
         if acc:
             g[m] = -c0 * acc
     return g
+
+
+def loop_quotient(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """f/g to order len(g) - 1 for g[0] = +-1: h_m = g[0] (f_m - sum_{i>=1} g_i h_{m-i}) over the support, term by term."""
+    n = len(g) - 1
+    support = [i for i in range(1, n + 1) if g[i]]
+    h = [0] * (n + 1)
+    for m in range(n + 1):
+        acc = f[m]
+        for i in support:
+            if i > m:
+                break
+            acc -= g[i] * h[m - i]
+        h[m] = g[0] * acc
+    return h
 
 
 def loop_div_binomial(cs: Sequence[int], sign: int, m: int) -> list[int]:

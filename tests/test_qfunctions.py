@@ -547,10 +547,11 @@ class TestPentagonalRoute:
         assert qfunctions._euler_product(s, order) == poch(-1, s, s, INFINITE, order)
 
     def test_builds_without_poch(self, monkeypatch):
-        # with poch disabled under the names series and qfunctions both bind, both still
-        # meet their order-500 pins. The Euler products take neither poch nor the rounded
-        # shift of its sign -1 factors; the sparse product that follows them rounds its
-        # own shifts, so _shift_round is disabled around _euler_product alone
+        # with poch disabled under the names series and qfunctions both bind, the routes
+        # built on the Euler products still meet their pins. The Euler products take
+        # neither poch nor the rounded shift of its sign -1 factors; the sparse product
+        # that follows them rounds its own shifts, so _shift_round is disabled around
+        # _euler_product alone
         def no_poch(*args, **kwargs):
             raise AssertionError("poch ran")
 
@@ -562,9 +563,38 @@ class TestPentagonalRoute:
             for s in (1, 2):
                 assert qfunctions._euler_product(s, 500).order == 500
         clear_cache()
-        for name, builder in (("distinct", distinct_gen), ("a", a_series)):
-            digest = hashlib.sha256(",".join(map(str, builder(500).coefficients())).encode()).hexdigest()
+        routes = (
+            ("distinct", distinct_gen, 500),
+            ("a", a_series, 500),
+            ("sigma-mex", sigma_mex_series, 500),
+            ("sigma-l", sigma_L_series, 500),
+            ("chern-sigma-maex", chern_sigma_maex_series, 200),
+        )
+        for name, builder, order in routes:
+            digest = hashlib.sha256(",".join(map(str, builder(order).coefficients())).encode()).hexdigest()
             assert digest == ROUTE_SHA256[(name, "canonical")], name
+        clear_cache()
+
+
+class TestSparseFactorRoutes:
+    """sigma-mex as psi times partition_gen, sigma-l and chern-sigma-maex as quotients by (q;q)_inf.
+
+    Each against the dense product it replaced: (-q;q)_inf squared, and
+    partition_gen times the numerator.
+    """
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 300, 2000])
+    def test_routes_equal_the_replaced_products(self, order):
+        clear_cache()
+        divisors = [0] * (order + 1)  # d(n) by its own sieve, d(0) = 0
+        for k in range(1, order + 1):
+            for j in range(k, order + 1, k):
+                divisors[j] += 1
+        star = sigma_star_series(order).coefficients()
+        d, p = distinct_gen(order), partition_gen(order)
+        assert sigma_mex_series(order) == d * d
+        assert sigma_L_series(order) == p * IntSeries(divisors)
+        assert chern_sigma_maex_series(order) == p * IntSeries([c + s // 2 for c, s in zip(divisors, star)])
         clear_cache()
 
 

@@ -24,12 +24,20 @@ from qmex.series import (
     _shift_round,
     _sparse_cutoff,
     _sparse_mul,
+    _sparse_quotient,
     _unpack,
     one,
     poch,
 )
 
-from product_oracle import binary_kronecker_mul, loop_div_binomial, loop_invert, loop_poch, loop_sparse_mul
+from product_oracle import (
+    binary_kronecker_mul,
+    loop_div_binomial,
+    loop_invert,
+    loop_poch,
+    loop_quotient,
+    loop_sparse_mul,
+)
 
 
 def brute_mul(a, b):
@@ -647,6 +655,49 @@ class TestSparseKernel:
         assert _sparse_mul(tuple(sparse), tuple(dense), n) == want == brute_mul(sparse, dense)
 
 
+class TestSparseQuotient:
+    """_sparse_quotient against loop_quotient, the recurrence one multiplication a term."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=300),
+        st.sampled_from([1, -1]),
+        st.lists(st.integers(min_value=-3, max_value=3), max_size=40),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @example(n=0, unit=-1, values=[], seed=0)
+    @example(n=300, unit=1, values=[1, -1, 2, -2, 3, -3] * 6, seed=1)
+    def test_grouped_sums_match_the_term_loop(self, n, unit, values, seed):
+        # g_0 = +-1 and the drawn values at sampled exponents, several of each value;
+        # a signed numerator up to 2^200
+        rng = random.Random(seed)
+        g = [unit] + [0] * n
+        for i, v in zip(rng.sample(range(1, n + 1), min(len(values), n)), values):
+            g[i] = v
+        f = signed_coeffs(n, 200, seed)
+        assert _sparse_quotient(f, tuple(g)) == loop_quotient(f, g)
+
+    @pytest.mark.parametrize(
+        "f, g, want",
+        [
+            # order 0
+            ([5], [1], [5]),
+            ([5], [-1], [-5]),
+            # g = +-1 returns f or -f
+            ([1, -2, 2**200, 0], [1, 0, 0, 0], [1, -2, 2**200, 0]),
+            ([1, -2, 2**200, 0], [-1, 0, 0, 0], [-1, 2, -(2**200), 0]),
+        ],
+    )
+    def test_quotient_examples(self, f, g, want):
+        assert _sparse_quotient(f, tuple(g)) == want == loop_quotient(f, g)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 300, 2000])
+    def test_one_over_the_pentagonal_series_equals_loop_invert(self, n):
+        # (q;q)_inf has the values -1 and +1 only: two groups, two plain sums a coefficient
+        g = poch(-1, 1, 1, INFINITE, n).coefficients()
+        assert _sparse_quotient([1] + [0] * n, g) == loop_invert(g)
+
+
 class TestDivBinomial:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=2**32))
@@ -654,13 +705,15 @@ class TestDivBinomial:
     @example(length=1, seed=0)
     @example(length=300, seed=1)
     def test_running_sums_match_the_loop(self, length, seed):
-        # signed coefficients up to 2^200, divided by 1 - q^m for every m in 1..length + 1:
-        # classes of one entry and m at or past the length included
+        # signed coefficients up to 2^200, divided by 1 + sign q^m for either sign and every
+        # m in 1..length + 1: m at or past half the length, where q^2m is past the order and
+        # the division is one binomial product, and m at or past the length included
         cs = signed_coeffs(length - 1, 200, seed)
-        for m in range(1, length + 2):
-            got = list(cs)
-            _div_binomial_inplace(got, -1, m)
-            assert got == loop_div_binomial(cs, -1, m), m
+        for sign in (1, -1):
+            for m in range(1, length + 2):
+                got = list(cs)
+                _div_binomial_inplace(got, sign, m)
+                assert got == loop_div_binomial(cs, sign, m), (sign, m)
 
 
 def test_import_loads_no_decimal():
