@@ -8,14 +8,21 @@ by the identity registry, so a bug in one route shows up as a mismatch
 rather than silently agreeing with itself.
 
 Every q-hypergeometric sum, sum_{n>=1} w_n t_n with a constant weight
-w_n and the ratio t_n / t_{n-1} a monomial times one or two binomial
-factors, runs through one kernel, _nested_sum, by Horner's rule from
+w_n and the ratio t_n / t_{n-1} a monomial over one or two binomial
+divisors, runs through one kernel, _nested_sum, by Horner's rule from
 the innermost term out: O(N) list work a step on a window of the
 coefficients the outer terms can still reach. Five of those are one
 residue-class mex sum, _mex_sum, of Andrews and Newman's mex_{A,1}:
 sigma, the inner sums of a-d and sigma-d-moex, and the sparse factors
-of a and sigma-mex. The maex sum over distinct parts is no such sum:
-it runs forward over the number of parts, two divisions a step.
+of a and sigma-mex. The one sum whose steps multiply, sigma-d-moex
+ALT1 with ratio q (1 - q^{2n-2}), runs the same Horner steps on one
+packed int (_moex_alt1_sum), q^0 in the top slot so the product by q is
+free, and each factor one rounded shift and one subtraction: every
+state is a sum of at most N + 1 terms +-2 q^a prod (1 - q^{2j}) over
+distinct j, whose coefficients are signed counts of partitions of at
+most N/2 into distinct parts, so slots of 2 (N + 1) Q(N/2) hold them
+and every shift is exact. The maex sum over distinct parts is no such
+sum: it runs forward over the number of parts, two divisions a step.
 
 The slices of the refined families come from one running quotient per
 family (_slices), one int packed as series._pack packs, q^d in slot
@@ -52,6 +59,7 @@ from __future__ import annotations
 import enum
 from functools import wraps
 from itertools import count, islice, takewhile
+from math import isqrt
 from typing import Callable, Iterator, NamedTuple
 
 from .partitions import _pentagonal
@@ -59,7 +67,7 @@ from .series import (
     INFINITE,
     IntSeries,
     _div_binomial_inplace,
-    _mul_binomial_inplace,
+    _mul_binomial_inplace,  # not called here; perfbench/tracing.py patches it by name (ROADMAP item 1)
     _pack,
     _shift_inplace,
     _shift_round,
@@ -102,11 +110,14 @@ class CacheInfo(NamedTuple):
 
 
 # Largest order any builder accepts. Measured cold builds at MAX_ORDER
-# take 0.90-1.17 s (sigma-d-moex alt1), 0.13-0.20 s (sigma-d-maex),
-# 0.02 s (sigma-star) and at most 0.25 s for every other route, sigma-mex
+# take 0.45-0.66 s (sigma-d-moex alt1, median 0.50 s against 0.57 s for
+# the list Horner in the same runs), 0.13-0.20 s (sigma-d-maex), 0.02 s
+# (sigma-star) and at most 0.25 s for every other route, sigma-mex
 # 0.13 s, sigma-l 0.09 s and chern-sigma-maex 0.12 s among them (median
 # of 8 fresh processes each, 2-core x86-64 VM shared with other work,
-# Python 3.11).
+# Python 3.11). sigma-d-moex alt1 stays O(N^2): about N/3 of its Horner
+# steps shift one packed int of up to N + 1 slots, each slot wide enough
+# for 2 (N + 1) Q(N // 2), the bound _moex_alt1_sum proves.
 MAX_ORDER = 8000
 
 # The longest series built so far per (builder, positional arguments after order).
@@ -171,23 +182,22 @@ def clear_cache() -> None:
         counts[:] = [0, 0]
 
 
-# One step (w_n, a_n, B_n) of a nested sum; see _nested_sum.
-_Step = tuple[int, int, tuple[tuple[int, int, int], ...]]
+# One step (w_n, a_n, D_n) of a nested sum; see _nested_sum.
+_Step = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
 def _nested_sum(order: int, step: Callable[[int], _Step]) -> list[int]:
     """Coefficients 0..order of sum_{n>=1} w_n t_n, by Horner's rule.
 
-    step(n) gives (w_n, a_n, B_n): the weight w_n, a shift a_n >= 0 and
-    the binomials B_n as (s, e, p), each the factor (1 + s q^e)^p with
-    p = +1 (multiply) or -1 (divide). The terms are t_n = q^{a_n} B_n
-    t_{n-1} from t_0 = 1. Every binomial has constant term 1, so
-    low_n = a_1 + ... + a_n is the lowest exponent of t_n; the shifts
-    must pass order eventually, and the top n is the last with
-    low_n <= order. From there down, acc <- q^{a_n} B_n (w_n + acc)
-    keeps the order + 1 - low_{n-1} coefficients that t_{n-1} leaves
-    room for, so the list grows by a_n a step and step(n) is called
-    again rather than kept.
+    step(n) gives (w_n, a_n, D_n): the weight w_n, a shift a_n >= 0 and
+    the divisors D_n as (s, e), each a binomial 1 + s q^e. The terms
+    are t_n = q^{a_n} t_{n-1} / prod D_n from t_0 = 1. Every divisor
+    has constant term 1, so low_n = a_1 + ... + a_n is the lowest
+    exponent of t_n; the shifts must pass order eventually, and the top
+    n is the last with low_n <= order. From there down,
+    acc <- q^{a_n} (w_n + acc) / prod D_n keeps the order + 1 - low_{n-1}
+    coefficients that t_{n-1} leaves room for, so the list grows by a_n
+    a step and step(n) is called again rather than kept.
     """
     low = 0
     for stop in count(1):
@@ -197,15 +207,51 @@ def _nested_sum(order: int, step: Callable[[int], _Step]) -> list[int]:
         low += shift
     acc = [0] * (order + 1 - low)
     for n in range(stop - 1, 0, -1):
-        weight, shift, binomials = step(n)
+        weight, shift, divisors = step(n)
         acc[0] += weight
-        for sign, e, power in binomials:
-            if power > 0:
-                _mul_binomial_inplace(acc, sign, e)
-            else:
-                _div_binomial_inplace(acc, sign, e)
+        for sign, e in divisors:
+            _div_binomial_inplace(acc, sign, e)
         _shift_inplace(acc, shift)
     return acc
+
+
+def _moex_alt1_sum(order: int) -> list[int]:
+    """Coefficients 0..order of 2 sum_{n>=1} (-1)^{n-1} q^n (q^2;q^2)_{n-1}, the sigma-d-moex ALT1 inner sum.
+
+    Horner's rule from n = order down: A_n = q (1 - q^{2n-2}) (w_n + A_{n+1}),
+    w_n = 2 (-1)^{n-1}, A_{order+1} = 0, and the sum is A_1. A_{n+1} has
+    no constant term, so the coefficient of q in A_n is w_n and A_n has
+    its sign. The loop carries B_n = (-1)^{n-1} A_n, which is positive:
+    B_n = q (1 - q^{2n-2}) (2 - B_{n+1}) and B_1 = A_1. series._shift_round
+    reads the rounding bit by an &, which reads only the low bits of a
+    positive int but copies a negative one whole.
+
+    acc packs B as series._pack does, q^0 in the top slot of a window of
+    the order + 1 - n coefficients the outer terms leave room for, so the
+    product by q, one more slot, is free: step n replaces acc by 2 - acc,
+    the 2 in the top slot, and subtracts it shifted right by 2n - 2
+    slots, which drops the terms past the window. Steps with
+    3n >= order + 4 shift past the window and only reflect, so their
+    tail [0, 2, -2, 2, ...] is packed at once.
+
+    Every shift is exact. Each state of acc, before or after a step's
+    product, truncates a sum of at most order + 1 terms
+    +-2 q^a prod_j (1 - q^{2j}) over distinct j. The coefficient of
+    q^{2k} in each product is a signed count of partitions of k into
+    distinct parts, at most Q(k) <= Q(order // 2), since 2k <= order. So
+    every slot is at most 2 (order + 1) Q(order // 2) < 2^(8w-1) at
+    w = _slot_bytes(order // 2, 2 (order + 1)), and series._shift_round
+    drops each slot exactly.
+    """
+    w = _slot_bytes(order // 2, 2 * (order + 1))
+    bits = 8 * w
+    n0 = min(-(-(order + 4) // 3), order + 1)  # steps n >= n0 only reflect
+    acc = _pack([0] + [2 - 4 * (j % 2) for j in range(order + 1 - n0)], w)
+    for n in range(n0 - 1, 0, -1):
+        acc = (2 << bits * (order - n)) - acc
+        if n > 1:
+            acc -= _shift_round(acc, bits * (2 * n - 2))
+    return _unpack(acc, order + 1, w)
 
 
 def _mex_sum(order: int, A: int, s: int, distinct: bool) -> list[int]:
@@ -217,7 +263,7 @@ def _mex_sum(order: int, A: int, s: int, distinct: bool) -> list[int]:
     base: term k counts the partitions holding 1, 1 + A, ..., 1 + A(k-1).
     """
     # term k is term k-1 times s q^e / (1 + q^e), e = 1 + A(k-1); no divisor off the distinct base
-    step = lambda k, e: (A * s**k, e, ((1, e, -1),) if distinct else ())
+    step = lambda k, e: (A * s**k, e, ((1, e),) if distinct else ())
     acc = _nested_sum(order, lambda k: step(k, 1 + A * (k - 1)))
     acc[0] += 1
     return acc
@@ -239,14 +285,14 @@ def sigma_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     if form is Form.CANONICAL:
         return IntSeries._trusted(_mex_sum(order, 1, 1, True))
     # t_m = q^{m(m-1)/2} / (-q;q)_m, ratio q^{m-1} / (1 + q^m)
-    return IntSeries._trusted(_nested_sum(order, lambda m: (m, m - 1, ((1, m, -1),))))
+    return IntSeries._trusted(_nested_sum(order, lambda m: (m, m - 1, ((1, m),))))
 
 
 @_builder("sigma-star")
 def sigma_star_series(order: int) -> IntSeries:
     """Companion series 2 * sum_{n>=1} (-1)^n q^{n^2} / (q;q^2)_n."""
     # t_n = q^{n^2} / (q;q^2)_n, ratio q^{2n-1} / (1 - q^{2n-1})
-    step = lambda n: (2 * (-1) ** n, 2 * n - 1, ((-1, 2 * n - 1, -1),))
+    step = lambda n: (2 * (-1) ** n, 2 * n - 1, ((-1, 2 * n - 1),))
     return IntSeries._trusted(_nested_sum(order, step))
 
 
@@ -333,7 +379,7 @@ def a_d_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
     else:
         # t_n = q^{n(2n+1)} / (-q^2;q)_{2n}, ratio q^{4n-1} / ((1+q^{2n})(1+q^{2n+1})); then
         # (1 + sum_{n>=1} t_n) / (1 + q) is the sum over q^{n(2n+1)} / (-q;q)_{2n+1}
-        inner = _nested_sum(order, lambda n: (1, 4 * n - 1, ((1, 2 * n, -1), (1, 2 * n + 1, -1))))
+        inner = _nested_sum(order, lambda n: (1, 4 * n - 1, ((1, 2 * n), (1, 2 * n + 1))))
         inner[0] += 1
         _div_binomial_inplace(inner, 1, 1)
     return distinct_gen(order) * IntSeries._trusted(inner)
@@ -349,16 +395,19 @@ def sigma_d_moex_series(order: int, form: Form = Form.CANONICAL) -> IntSeries:
 
     ALT2 is CANONICAL under q -> -q, since (-1)^{n+n^2} = 1, so
     canonical-vs-alt2 checks that substitution and both binomial
-    kernels; ALT1 is the independent route.
+    kernels; ALT1 is the independent route, O(N^2): its inner sum is
+    Horner's rule on one packed int (_moex_alt1_sum). Each accumulator
+    state is at most N + 1 terms +-2 q^a prod_j (1 - q^{2j}) over
+    distinct j; the coefficient of q^{2k} in each product is a signed
+    count of partitions of k <= N/2 into distinct parts, so every
+    coefficient is at most 2 (N + 1) Q(N // 2), the slots hold it
+    (_slot_bytes(N // 2, 2 (N + 1))), and every rounded shift is exact.
     """
     if form is Form.CANONICAL:
         inner = _mex_sum(order, 2, 1, True)
     else:
         if form is Form.ALT1:
-            # t_n = q^n (q^2;q^2)_{n-1}: shift by 1, then a new factor
-            # (1 - q^{2(n-1)}) appears for n >= 2
-            step = lambda n: (-2 * (-1) ** n, 1, ((-1, 2 * n - 2, 1),) if n > 1 else ())
-            inner = _nested_sum(order, step)
+            inner = _moex_alt1_sum(order)
         else:
             star = sigma_star_series(order).coefficients()
             inner = [(-c if j % 2 else c) for j, c in enumerate(star)]  # q -> -q
@@ -409,10 +458,16 @@ def sigma_d_maex_series(order: int) -> IntSeries:
 
 
 def _divisor_counts(order: int) -> list[int]:
-    """Divisor counts d(0..order), d(0) = 0, by a sieve: O(order log order)."""
+    """Divisor counts d(0..order), d(0) = 0, by a sieve over k <= sqrt(order).
+
+    Each n = k m with k < m has the divisors k and m, and n = k^2 the
+    one divisor k: 2 at k (k + 1), k (k + 2), ... and 1 at k^2, about
+    sqrt(order) slice adds, O(order log order) entries in all.
+    """
     d = [0] * (order + 1)
-    for k in range(1, order + 1):
-        d[k::k] = [x + 1 for x in d[k::k]]
+    for k in range(1, isqrt(order) + 1):
+        d[k * k] += 1
+        d[k * (k + 1) :: k] = [x + 2 for x in d[k * (k + 1) :: k]]
     return d
 
 

@@ -2,20 +2,23 @@
 
 qmex.qfunctions.sigma_d_maex_series groups the maex-sum over distinct
 partitions by number of parts, chern_sigma_maex_series builds the
-maex-sum over all partitions from sigma_star, and _slices packs each
-slice body into one int, whose steps are big-integer shifts and adds.
-The functions here are the loops they replaced: Horner's rule over the
-maex value k, the runs above the gap summed term by term, and the slice
-streams on coefficient lists, one in-place binomial step per slice and
-one list add per weighted slice, a maex body starting from zeros and
-adding the prefix at every exponent of T_k.
+maex-sum over all partitions from sigma_star, _slices packs each slice
+body into one int, whose steps are big-integer shifts and adds,
+_moex_alt1_sum runs the sigma-d-moex ALT1 Horner sum on one int, and
+_divisor_counts sieves over k <= sqrt(order). The functions here are the
+loops they replaced: Horner's rule over the maex value k, the runs above
+the gap summed term by term, the slice streams on coefficient lists, one
+in-place binomial step per slice and one list add per weighted slice, a
+maex body starting from zeros and adding the prefix at every exponent of
+T_k, the nested-sum kernel on a list with its multiplying steps, and one
+slice per k.
 """
 
 from itertools import count
 
 from qmex import qfunctions
 from qmex.qfunctions import RefinedKind
-from qmex.series import _div_binomial_inplace, _mul_binomial_inplace
+from qmex.series import _div_binomial_inplace, _mul_binomial_inplace, _shift_inplace
 
 
 def old_horner_sigma_d_maex(order):
@@ -94,3 +97,59 @@ def old_sliced(kind, weight, order):
         if w:
             total[low:] = [t + w * v for t, v in zip(total[low:], body)]
     return total
+
+
+def old_nested_sum(order, step, watch=None):
+    """Coefficients 0..order of sum_{n>=1} w_n t_n, by Horner's rule on a list.
+
+    The kernel _nested_sum was before it lost its multiplying steps:
+    step(n) gives (w_n, a_n, B_n), the binomials B_n as (s, e, p), each
+    the factor (1 + s q^e)^p with p = +1 (multiply) or -1 (divide), and
+    t_n = q^{a_n} B_n t_{n-1} from t_0 = 1. From the last n whose
+    lowest exponent a_1 + ... + a_n is at most order down,
+    acc <- q^{a_n} B_n (w_n + acc) on the window of the coefficients
+    t_{n-1} leaves room for. watch, if given, sees acc after each add and
+    after each binomial.
+    """
+    low = 0
+    for stop in count(1):
+        shift = step(stop)[1]
+        if low + shift > order:
+            break
+        low += shift
+    acc = [0] * (order + 1 - low)
+    for n in range(stop - 1, 0, -1):
+        weight, shift, binomials = step(n)
+        acc[0] += weight
+        if watch:
+            watch(acc)
+        for sign, e, power in binomials:
+            if power > 0:
+                _mul_binomial_inplace(acc, sign, e)
+            else:
+                _div_binomial_inplace(acc, sign, e)
+            if watch:
+                watch(acc)
+        _shift_inplace(acc, shift)
+    return acc
+
+
+def alt1_step(n):
+    """Step n of the sigma-d-moex ALT1 sum: t_n = q^n (q^2;q^2)_{n-1}, weight 2 (-1)^{n-1}.
+
+    The ratio t_n / t_{n-1} is q times a new factor (1 - q^{2n-2}) for n >= 2.
+    """
+    return -2 * (-1) ** n, 1, ((-1, 2 * n - 2, 1),) if n > 1 else ()
+
+
+def old_moex_alt1_sum(order, watch=None):
+    """Coefficients 0..order of the sigma-d-moex ALT1 inner sum, without its 1, on a list."""
+    return old_nested_sum(order, alt1_step, watch)
+
+
+def old_divisor_counts(order):
+    """Divisor counts d(0..order), d(0) = 0: one slice add per k <= order."""
+    d = [0] * (order + 1)
+    for k in range(1, order + 1):
+        d[k::k] = [x + 1 for x in d[k::k]]
+    return d

@@ -52,7 +52,14 @@ from qmex.series import (
     _shift_inplace,
     poch,
 )
-from route_oracle import old_horner_sigma_d_maex, old_runs_chern, old_sliced, old_slices
+from route_oracle import (
+    old_divisor_counts,
+    old_horner_sigma_d_maex,
+    old_moex_alt1_sum,
+    old_runs_chern,
+    old_sliced,
+    old_slices,
+)
 
 
 def fraction_sigma(order):
@@ -488,6 +495,59 @@ class TestNestedSum:
         step = lambda n: (1, 5, ())
         assert qfunctions._nested_sum(3, step) == [0, 0, 0, 0]
         assert qfunctions._nested_sum(5, step) == [0, 0, 0, 0, 0, 1]
+
+
+class TestMoexAlt1Sum:
+    """The packed sigma-d-moex ALT1 sum against the list Horner it replaced, and the bound on its slots."""
+
+    # N mod 3 decides the first step whose product reaches the window, the largest n with 3n <= N + 2
+    @pytest.mark.parametrize("order", [*range(13), 50, 300])
+    def test_every_list_state_is_within_the_slot_bound(self, order):
+        # before and after each product, every coefficient of the list accumulator is at
+        # most 2 (N + 1) Q(N // 2), and that is below the half range of the packed slots
+        bound = 2 * (order + 1) * distinct_gen(order // 2).coefficient(order // 2)
+        w = qfunctions._slot_bytes(order // 2, 2 * (order + 1))
+        assert bound < 2 ** (8 * w - 1)
+        states = []
+
+        def watch(acc):
+            states.append(max(map(abs, acc)))
+            assert states[-1] <= bound, (order, len(states))
+
+        got = old_moex_alt1_sum(order, watch)
+        assert len(states) == (2 * order - 1 if order else 0)  # one per add and per factor
+        assert qfunctions._moex_alt1_sum(order) == got
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=2000))
+    @example(0)
+    @example(1)
+    @example(2)
+    @example(3)
+    @example(2000)
+    def test_packed_sum_matches_the_list_loop(self, order):
+        assert qfunctions._moex_alt1_sum(order) == old_moex_alt1_sum(order)
+
+
+class TestDivisorCounts:
+    """_divisor_counts, a sieve over k <= sqrt(N), against the per-k slice loop it replaced."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=3000))
+    @example(0)
+    @example(1)
+    @example(2)
+    @example(4)
+    @example(99)
+    @example(100)
+    @example(2025)
+    @example(2916)
+    @example(3000)
+    def test_sieve_matches_the_slice_loop(self, order):
+        assert qfunctions._divisor_counts(order) == old_divisor_counts(order)
+
+    def test_small_counts(self):
+        assert qfunctions._divisor_counts(12) == [0, 1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6]
 
 
 # moduli A of the residue-class mex mex_{A,1} checked against enumeration
