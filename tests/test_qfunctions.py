@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from census_oracle import maex, mex, moex
+from max_order_checks import ROWS, check_row
 from qmex import identities, qfunctions, series
 from qmex.partitions import CountKind, StatKind, enum_partitions, refined_count_oracle, stat_sum_oracle
 from qmex.qfunctions import (
@@ -1087,3 +1088,9 @@ def test_tracer_wraps_every_builder():
     top_level_build = ["qfunctions.build", -1]
     assert got["first"] == dict.fromkeys(("refined_series", "dcount_series", "sigma_series"), top_level_build)
     assert "route:sigma.alt1" in got["routes"]
+
+
+def test_every_max_order_row_at_a_small_order():
+    # tests/max_order_checks.py runs each row at its own order; here a renamed route or oracle fails tier-1 too
+    for row in ROWS:
+        check_row(row, 60)
