@@ -1,9 +1,9 @@
 """Checks at the census budget tops, at order 2000 and at qfunctions.MAX_ORDER, where tier-1 never goes.
 
 ROWS pairs each fast path with the loop or product it replaced, and check_row runs a row at any order (tier-1
-runs every row at 60). The other tests check the verdicts of the scans, the slice sums, euler-identity, the
-oracle entries and the census, and the series goldens and README commands. The name does not match test_*.py,
-so run the file by name, -s for one line per check with its seconds:
+runs every row at random orders from 2 to 2000). The other tests check the verdicts of the scans, the slice
+sums, euler-identity, the oracle entries and the census, and the series goldens and README commands. The name
+does not match test_*.py, so run the file by name, -s for one line per check with its seconds:
 
     PYTHONPATH=src python -m pytest -q -s tests/max_order_checks.py
 """
@@ -30,7 +30,17 @@ from qmex import qfunctions as Q
 from qmex.identities import Comparison, monotonicity_check, parity_check, positivity_check, registry, verify
 from qmex.qfunctions import MAX_ORDER, RefinedKind, clear_cache
 from qmex.series import INFINITE, IntSeries, _div_binomial_inplace, _sparse_mul, poch
-from route_oracle import old_horner_sigma_d_maex, old_moex_alt1_sum, old_runs_chern, old_slices
+from route_oracle import (
+    FORWARD_ROUTES,
+    forward_route,
+    old_divisor_counts,
+    old_horner_sigma_d_maex,
+    old_moex_alt1_sum,
+    old_runs_chern,
+    old_slices,
+    partial_sum_sigma_l,
+    theta_a_series,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 # each fresh process imports the qmex imported here, so a plain checkout runs too
@@ -52,6 +62,11 @@ def sparser_first(a, b, n):
     return (a, b, n) if len(a) - a.count(0) <= len(b) - b.count(0) else (b, a, n)
 
 
+def route(name, form, order):
+    """The catalogued route name in form at order."""
+    return Q.build_named(name, order, form).series
+
+
 def divided(cs, sign, m):
     """cs / (1 + sign q^m) by _div_binomial_inplace, on a copy."""
     out = list(cs)
@@ -66,11 +81,23 @@ ROWS = [
     Row("chern-sigma-maex-vs-runs-loop", Q.chern_sigma_maex_series, old_runs_chern, MAX_ORDER),
     Row("sigma-d-maex-vs-maex-double-sum", Q.sigma_d_maex_series, old_horner_sigma_d_maex, MAX_ORDER),
     Row("moex-alt1-sum-vs-list-horner", Q._moex_alt1_sum, old_moex_alt1_sum, MAX_ORDER),
+    # the seven partial-sum routes of _nested_sum against the term-by-term loop
+    *(
+        Row(f"{name}.{form.value}-vs-forward-loop", partial(route, name, form), partial(forward_route, name, form),
+            MAX_ORDER)
+        for name, form in FORWARD_ROUTES
+    ),
+    Row("a-vs-theta-loop", Q.a_series, theta_a_series, MAX_ORDER),
+    # the largest-part sum is O(order^2) on lists: 0.5 s at 2000, 9 s at MAX_ORDER
+    Row("sigma-l-vs-largest-part-sum", Q.sigma_L_series, partial_sum_sigma_l, 2000),
     # every body of _slices at the one-slice width, (k, low) included, against the list stream
     *(Row(f"{name}-slices", partial(Q._slice_lists, kind), partial(old_slices, kind), n) for name, kind, n in SLICES),
     Row("poch(+1,1,1)", partial(poch, 1, 1, 1, INFINITE), partial(loop_poch, 1, 1, 1, INFINITE), MAX_ORDER),
     Row("poch(-1,1,2)", partial(poch, -1, 1, 2, INFINITE), partial(loop_poch, -1, 1, 2, INFINITE), MAX_ORDER),
     Row("poch(-1,1,1)", partial(poch, -1, 1, 1, INFINITE), partial(loop_poch, -1, 1, 1, INFINITE), MAX_ORDER),
+    # the sparse Euler products against poch
+    Row("(q;q)_inf-vs-poch", partial(Q._euler_product, 1), partial(poch, -1, 1, 1, INFINITE), MAX_ORDER),
+    Row("(q^2;q^2)_inf-vs-poch", partial(Q._euler_product, 2), partial(poch, -1, 2, 2, INFINITE), MAX_ORDER),
     # Newton on the dense (q;q^2)_inf against the support recurrence
     Row("1/(q;q^2)_inf", IntSeries.invert, lambda f: loop_invert(f.coefficients()), MAX_ORDER,
         lambda n: (poch(-1, 1, 2, INFINITE, n),)),
@@ -86,12 +113,14 @@ ROWS = [
             lambda n: (Q.distinct_gen(n).coefficients(),))
         for m in (1, 2, 63, 126, 4000)
     ),
-    # the quotient routes against the dense products they replaced, and 1/(q;q)_inf,
-    # which IntSeries.invert takes from _sparse_quotient, against the support recurrence
+    # the quotient routes against the dense products they replaced, with d(n) from the slice loop and
+    # not the sieve the routes use, and 1/(q;q)_inf, which IntSeries.invert takes from _sparse_quotient,
+    # against the support recurrence
     Row("sigma-mex-vs-D*D", Q.sigma_mex_series, lambda n: Q.distinct_gen(n) * Q.distinct_gen(n), MAX_ORDER),
-    Row("sigma-l-vs-P*d", Q.sigma_L_series, lambda n: Q.partition_gen(n) * IntSeries(Q._divisor_counts(n)), MAX_ORDER),
+    Row("sigma-l-vs-P*d", Q.sigma_L_series, lambda n: Q.partition_gen(n) * IntSeries(old_divisor_counts(n)),
+        MAX_ORDER),
     Row("chern-sigma-maex-vs-P*(d+star/2)", Q.chern_sigma_maex_series, lambda n: Q.partition_gen(n) * IntSeries(
-        [d + s // 2 for d, s in zip(Q._divisor_counts(n), Q.sigma_star_series(n).coefficients())]), MAX_ORDER),
+        [d + s // 2 for d, s in zip(old_divisor_counts(n), Q.sigma_star_series(n).coefficients())]), MAX_ORDER),
     Row("1/(q;q)_inf", IntSeries.invert, lambda f: loop_invert(f.coefficients()), MAX_ORDER,
         lambda n: (Q._euler_product(1, n),)),
 ]

@@ -12,13 +12,20 @@ in-place binomial step per slice and one list add per weighted slice, a
 maex body starting from zeros and adding the prefix at every exponent of
 T_k, the nested-sum kernel on a list with its multiplying steps, and one
 slice per k.
+
+The seven partial-sum routes of the catalogue run Horner's rule in
+qmex.qfunctions._nested_sum; forward_partial_sum is the term-by-term
+loop they ran before it, FORWARD_ROUTES gives each route's step stream
+and forward_route builds it. theta_a_series is a_series before _mex_sum,
+the theta loop times partition_gen, and partial_sum_sigma_l is sigma-l
+before conjugation, the largest-part sum sum_k k q^k / (q;q)_k.
 """
 
-from itertools import count
+from itertools import chain, count
 
 from qmex import qfunctions
-from qmex.qfunctions import RefinedKind
-from qmex.series import _div_binomial_inplace, _mul_binomial_inplace, _shift_inplace
+from qmex.qfunctions import Form, RefinedKind, distinct_gen, partition_gen
+from qmex.series import IntSeries, _div_binomial_inplace, _mul_binomial_inplace, _shift_inplace
 
 
 def old_horner_sigma_d_maex(order):
@@ -153,3 +160,92 @@ def old_divisor_counts(order):
     for k in range(1, order + 1):
         d[k::k] = [x + 1 for x in d[k::k]]
     return d
+
+
+def forward_partial_sum(order, steps):
+    """Coefficients 0..order of sum_n w_n t_n, accumulated term by term.
+
+    The forward loop the builders ran before the nested-sum kernel:
+    steps yields (w_n, a_n, binomials) for n = 0, 1, ...; starting from
+    1, each term is t_n = q^{a_n} t_{n-1} prod (1 + s q^e)^p over the
+    (s, e, p) in binomials, and the sum stops at the first step whose
+    lowest exponent a_0 + ... + a_n passes order.
+    """
+    total = [0] * (order + 1)
+    term = [1] + [0] * order
+    low = 0
+    for weight, shift, binomials in steps:
+        low += shift
+        if low > order:
+            break
+        _shift_inplace(term, shift)
+        del term[order + 1 :]
+        for sign, e, power in binomials:
+            if power > 0:
+                _mul_binomial_inplace(term, sign, e)
+            else:
+                _div_binomial_inplace(term, sign, e)
+        for j in range(low, order + 1):
+            v = term[j]
+            if v:
+                total[j] += weight * v
+    return total
+
+
+def triangular_steps(sign):
+    """t_n = q^{n(n+1)/2} / (-q;q)_n weighted sign^n: ratio q^n / (1 + q^n)."""
+    yield 1, 0, ()
+    for n in count(1):
+        yield sign**n, n, ((1, n, -1),)
+
+
+# (catalogued name, form) -> the forward step stream of its partial sum;
+# a-d and sigma-d-moex multiply their sum by distinct_gen.
+FORWARD_ROUTES = {
+    ("sigma", Form.CANONICAL): lambda: triangular_steps(1),
+    ("sigma", Form.ALT1): lambda: ((m, m - 1, ((1, m, -1),)) for m in count(1)),
+    ("sigma-star", Form.CANONICAL): lambda: (
+        (2 * (-1) ** n, 2 * n - 1, ((-1, 2 * n - 1, -1),)) for n in count(1)
+    ),
+    ("a-d", Form.CANONICAL): lambda: triangular_steps(-1),
+    ("a-d", Form.ALT1): lambda: chain(
+        [(1, 0, ((1, 1, -1),))],
+        ((1, 4 * n - 1, ((1, 2 * n, -1), (1, 2 * n + 1, -1))) for n in count(1)),
+    ),
+    ("sigma-d-moex", Form.CANONICAL): lambda: chain(
+        [(1, 0, ())], ((2, 2 * n - 1, ((1, 2 * n - 1, -1),)) for n in count(1))
+    ),
+    ("sigma-d-moex", Form.ALT1): lambda: chain(
+        [(1, 0, ())],
+        ((2 * (-1) ** (n - 1), 1, ((-1, 2 * (n - 1), 1),) if n >= 2 else ()) for n in count(1)),
+    ),
+}
+
+
+def forward_route(name, form, order):
+    """A partial-sum route built by forward_partial_sum instead of the kernel."""
+    inner = IntSeries(forward_partial_sum(order, FORWARD_ROUTES[(name, form)]()))
+    return distinct_gen(order) * inner if name in ("a-d", "sigma-d-moex") else inner
+
+
+def theta_a_series(order):
+    """partition_gen times the theta loop a_series ran before _mex_sum.
+
+    A partition with mex m holds 1..m-1 and omits m, so summing
+    q^{m(m-1)/2} (1 - q^m) over odd m telescopes into +1 at each
+    m(m-1)/2 and -1 at each m(m+1)/2.
+    """
+    sparse = [0] * (order + 1)
+    m = 1
+    while m * (m - 1) // 2 <= order:
+        sparse[m * (m - 1) // 2] += 1
+        if m * (m + 1) // 2 <= order:
+            sparse[m * (m + 1) // 2] -= 1
+        m += 2
+    return partition_gen(order) * IntSeries(sparse)
+
+
+def partial_sum_sigma_l(order):
+    """sum_{m>=1} m q^m / (q;q)_m by its term recurrence: sigma-l before conjugation."""
+    # t_m = q^m / (q;q)_m, ratio q / (1 - q^m)
+    return tuple(forward_partial_sum(order, ((m, 1, ((-1, m, -1),)) for m in count(1))))

@@ -14,7 +14,7 @@ import pathlib
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import chain, count
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings
@@ -53,14 +53,7 @@ from qmex.series import (
     _shift_inplace,
     poch,
 )
-from route_oracle import (
-    old_divisor_counts,
-    old_horner_sigma_d_maex,
-    old_moex_alt1_sum,
-    old_runs_chern,
-    old_sliced,
-    old_slices,
-)
+from route_oracle import forward_partial_sum, old_divisor_counts, old_moex_alt1_sum, old_sliced, old_slices
 
 
 def fraction_sigma(order):
@@ -92,147 +85,6 @@ def fraction_sigma(order):
     return tuple(int(v) for v in total)
 
 
-def double_sum_sigma_d_maex(order):
-    """sum_{k>=1} k (-q;q)_{k-1} sum_{m>=1} q^{m(m+1)/2 + km}, summed k by k.
-
-    The prefix (-q;q)_{k-1} grows one factor per k and is added, shifted,
-    once per (k, m) pair: grouped by maex value, a reference for the
-    builder's grouping by number of parts.
-    """
-    total = [0] * (order + 1)
-    pk = [1] + [0] * order  # (-q;q)_{k-1}, starts at k = 1
-    k = 1
-    while k + 1 <= order:
-        if k > 1:
-            _mul_binomial_inplace(pk, 1, k - 1)
-        m = 1
-        e = 1 + k
-        while e <= order:
-            for j in range(order + 1 - e):
-                v = pk[j]
-                if v:
-                    total[e + j] += k * v
-            m += 1
-            e = m * (m + 1) // 2 + k * m
-        k += 1
-    return tuple(total)
-
-
-def double_sum_chern(order):
-    """sum_{n>=1} n / (q;q)_{n-1} * sum_{m>=1} q^{m(n+1)} (-q;q)_{m-1}, summed n by n.
-
-    Each inner sum is multiplied by the prefix 1/(q;q)_{n-1} as a dense
-    product: a reference for the sigma_star route of the builder.
-    """
-    total = [0] * (order + 1)
-    qn = [1] + [0] * order  # 1/(q;q)_{n-1}, starts at n = 1
-    n = 1
-    while n + 1 <= order:
-        if n > 1:
-            _div_binomial_inplace(qn, -1, n - 1)
-        inner = [0] * (order + 1)
-        pm = [1] + [0] * order  # (-q;q)_{m-1}
-        m = 1
-        while m * (n + 1) <= order:
-            if m > 1:
-                _mul_binomial_inplace(pm, 1, m - 1)
-            e = m * (n + 1)
-            for j in range(order + 1 - e):
-                v = pm[j]
-                if v:
-                    inner[e + j] += v
-            m += 1
-        prod = (IntSeries(qn) * IntSeries(inner)).coefficients()
-        for j, v in enumerate(prod):
-            if v:
-                total[j] += n * v
-        n += 1
-    return tuple(total)
-
-
-def forward_partial_sum(order, steps):
-    """Coefficients 0..order of sum_n w_n t_n, accumulated term by term.
-
-    The forward loop the builders ran before the nested-sum kernel:
-    steps yields (w_n, a_n, binomials) for n = 0, 1, ...; starting from
-    1, each term is t_n = q^{a_n} t_{n-1} prod (1 + s q^e)^p over the
-    (s, e, p) in binomials, and the sum stops at the first step whose
-    lowest exponent a_0 + ... + a_n passes order.
-    """
-    total = [0] * (order + 1)
-    term = [1] + [0] * order
-    low = 0
-    for weight, shift, binomials in steps:
-        low += shift
-        if low > order:
-            break
-        _shift_inplace(term, shift)
-        del term[order + 1 :]
-        for sign, e, power in binomials:
-            if power > 0:
-                _mul_binomial_inplace(term, sign, e)
-            else:
-                _div_binomial_inplace(term, sign, e)
-        for j in range(low, order + 1):
-            v = term[j]
-            if v:
-                total[j] += weight * v
-    return total
-
-
-def triangular_steps(sign):
-    """t_n = q^{n(n+1)/2} / (-q;q)_n weighted sign^n: ratio q^n / (1 + q^n)."""
-    yield 1, 0, ()
-    for n in count(1):
-        yield sign**n, n, ((1, n, -1),)
-
-
-# (catalogued name, form) -> the forward step stream of its partial sum;
-# a-d and sigma-d-moex multiply their sum by distinct_gen.
-FORWARD_ROUTES = {
-    ("sigma", Form.CANONICAL): lambda: triangular_steps(1),
-    ("sigma", Form.ALT1): lambda: ((m, m - 1, ((1, m, -1),)) for m in count(1)),
-    ("sigma-star", Form.CANONICAL): lambda: (
-        (2 * (-1) ** n, 2 * n - 1, ((-1, 2 * n - 1, -1),)) for n in count(1)
-    ),
-    ("a-d", Form.CANONICAL): lambda: triangular_steps(-1),
-    ("a-d", Form.ALT1): lambda: chain(
-        [(1, 0, ((1, 1, -1),))],
-        ((1, 4 * n - 1, ((1, 2 * n, -1), (1, 2 * n + 1, -1))) for n in count(1)),
-    ),
-    ("sigma-d-moex", Form.CANONICAL): lambda: chain(
-        [(1, 0, ())], ((2, 2 * n - 1, ((1, 2 * n - 1, -1),)) for n in count(1))
-    ),
-    ("sigma-d-moex", Form.ALT1): lambda: chain(
-        [(1, 0, ())],
-        ((2 * (-1) ** (n - 1), 1, ((-1, 2 * (n - 1), 1),) if n >= 2 else ()) for n in count(1)),
-    ),
-}
-
-
-def forward_route(name, form, order):
-    """A partial-sum route built by forward_partial_sum instead of the kernel."""
-    inner = IntSeries(forward_partial_sum(order, FORWARD_ROUTES[(name, form)]()))
-    return distinct_gen(order) * inner if name in ("a-d", "sigma-d-moex") else inner
-
-
-def theta_a_series(order):
-    """partition_gen times the theta loop a_series ran before _mex_sum.
-
-    A partition with mex m holds 1..m-1 and omits m, so summing
-    q^{m(m-1)/2} (1 - q^m) over odd m telescopes into +1 at each
-    m(m-1)/2 and -1 at each m(m+1)/2.
-    """
-    sparse = [0] * (order + 1)
-    m = 1
-    while m * (m - 1) // 2 <= order:
-        sparse[m * (m - 1) // 2] += 1
-        if m * (m + 1) // 2 <= order:
-            sparse[m * (m + 1) // 2] -= 1
-        m += 2
-    return partition_gen(order) * IntSeries(sparse)
-
-
 def residue_mex(parts, A):
     """mex_{A,1}: the least positive integer = 1 (mod A) that is not a part."""
     have = set(parts)
@@ -256,12 +108,6 @@ def horner_chern(order):
         steps = ((n, n + 1, ((1, m - 1, 1),) if m > 1 else ()) for m in count(1))
         acc = [a + b for a, b in zip(acc, forward_partial_sum(order, steps))]
     return tuple(acc)
-
-
-def partial_sum_sigma_l(order):
-    """sum_{m>=1} m q^m / (q;q)_m by its term recurrence: sigma-l before conjugation."""
-    # t_m = q^m / (q;q)_m, ratio q / (1 - q^m)
-    return tuple(forward_partial_sum(order, ((m, 1, ((-1, m, -1),)) for m in count(1))))
 
 
 def shifted(s, a):
@@ -410,22 +256,6 @@ class TestDistinctFamilies:
         for n in range(21):
             assert s.coefficient(n) == refined_count_oracle(CountKind.ODD_MEX, 0, n)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=0, max_value=300))
-    def test_sigma_d_maex_by_parts_matches_double_sum(self, order):
-        assert sigma_d_maex_series(order).coefficients() == double_sum_sigma_d_maex(order)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=0, max_value=1500))
-    @example(0)
-    @example(1)
-    @example(2)
-    @example(3)
-    @example(1500)
-    def test_sigma_d_maex_by_parts_matches_old_horner(self, order):
-        clear_cache()
-        assert sigma_d_maex_series(order).coefficients() == old_horner_sigma_d_maex(order)
-
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 6, 300, 2000])
     def test_sigma_d_maex_takes_two_divisions_per_part_count(self, monkeypatch, order):
         calls = {"mul": 0, "div": 0}
@@ -446,28 +276,9 @@ class TestDistinctFamilies:
         assert calls["div"] <= 2 * s_max
         clear_cache()
 
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(min_value=0, max_value=120))
-    def test_chern_sigma_star_route_matches_double_sum(self, order):
-        assert chern_sigma_maex_series(order).coefficients() == double_sum_chern(order)
-
     def test_chern_sigma_star_route_matches_old_horner(self):
         clear_cache()
         assert chern_sigma_maex_series(600).coefficients() == horner_chern(600)
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(min_value=0, max_value=600))
-    @example(0)
-    @example(1)
-    @example(600)
-    def test_sigma_l_conjugation_matches_partial_sum(self, order):
-        clear_cache()
-        assert sigma_L_series(order).coefficients() == partial_sum_sigma_l(order)
-
-    def test_maex_routes_match_old_horner_and_runs_loops(self):
-        clear_cache()
-        assert sigma_d_maex_series(1500).coefficients() == old_horner_sigma_d_maex(1500)
-        assert chern_sigma_maex_series(1500).coefficients() == old_runs_chern(1500)
 
     def test_maex_low_coefficients_vanish(self):
         s = sigma_d_maex_series(12)
@@ -477,20 +288,6 @@ class TestDistinctFamilies:
 
 
 class TestNestedSum:
-    """The seven partial-sum routes against the forward loop they replaced."""
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(min_value=0, max_value=600))
-    @example(0)
-    @example(1)
-    @example(2)
-    @example(600)
-    def test_routes_match_forward_partial_sum(self, order):
-        clear_cache()
-        for name, form in FORWARD_ROUTES:
-            got = build_named(name, order, form).series
-            assert got == forward_route(name, form, order), (name, form.value)
-
     def test_shifts_past_the_order_leave_zero(self):
         # each term 1 and shift 5: no term below q^5, so the sum is zero at full length
         step = lambda n: (1, 5, ())
@@ -499,7 +296,7 @@ class TestNestedSum:
 
 
 class TestMoexAlt1Sum:
-    """The packed sigma-d-moex ALT1 sum against the list Horner it replaced, and the bound on its slots."""
+    """The bound on the slots of the packed sigma-d-moex ALT1 sum, read off the list Horner it replaced."""
 
     # N mod 3 decides the first step whose product reaches the window, the largest n with 3n <= N + 2
     @pytest.mark.parametrize("order", [*range(13), 50, 300])
@@ -518,16 +315,6 @@ class TestMoexAlt1Sum:
         got = old_moex_alt1_sum(order, watch)
         assert len(states) == (2 * order - 1 if order else 0)  # one per add and per factor
         assert qfunctions._moex_alt1_sum(order) == got
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=0, max_value=2000))
-    @example(0)
-    @example(1)
-    @example(2)
-    @example(3)
-    @example(2000)
-    def test_packed_sum_matches_the_list_loop(self, order):
-        assert qfunctions._moex_alt1_sum(order) == old_moex_alt1_sum(order)
 
 
 class TestDivisorCounts:
@@ -556,24 +343,11 @@ MODULI = [1, 2, 3, 4, 5]
 
 
 class TestResidueMexSum:
-    """_mex_sum against the theta loop a_series replaced and against enumeration.
+    """_mex_sum against enumeration.
 
-    FORWARD_ROUTES already covers its three distinct-base callers.
+    ROWS checks a_series against the theta loop it replaced and its three
+    distinct-base callers against the forward loop.
     """
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=0, max_value=600))
-    @example(0)
-    @example(1)
-    @example(600)
-    def test_a_matches_the_theta_loop(self, order):
-        clear_cache()
-        assert a_series(order) == theta_a_series(order)
-
-    def test_a_matches_the_theta_loop_at_8000(self):
-        clear_cache()
-        assert a_series(8000) == theta_a_series(8000)
-        clear_cache()
 
     @pytest.mark.parametrize("s", [1, -1])
     @pytest.mark.parametrize("distinct,top", [(True, 40), (False, 30)])
@@ -595,17 +369,6 @@ class TestPentagonalRoute:
     def test_partition_gen_counts_partitions(self):
         want = tuple(sum(1 for _ in enum_partitions(n)) for n in range(21))
         assert partition_gen(20).coefficients() == want
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([1, 2]), st.integers(min_value=0, max_value=600))
-    @example(s=1, order=0)
-    @example(s=2, order=0)
-    @example(s=1, order=1)
-    @example(s=2, order=1)
-    @example(s=1, order=600)
-    @example(s=2, order=600)
-    def test_euler_product_equals_poch(self, s, order):
-        assert qfunctions._euler_product(s, order) == poch(-1, s, s, INFINITE, order)
 
     def test_builds_without_poch(self, monkeypatch):
         # with poch disabled under the names series and qfunctions both bind, the routes
@@ -634,28 +397,6 @@ class TestPentagonalRoute:
         for name, builder, order in routes:
             digest = hashlib.sha256(",".join(map(str, builder(order).coefficients())).encode()).hexdigest()
             assert digest == ROUTE_SHA256[(name, "canonical")], name
-        clear_cache()
-
-
-class TestSparseFactorRoutes:
-    """sigma-mex as psi times partition_gen, sigma-l and chern-sigma-maex as quotients by (q;q)_inf.
-
-    Each against the dense product it replaced: (-q;q)_inf squared, and
-    partition_gen times the numerator.
-    """
-
-    @pytest.mark.parametrize("order", [0, 1, 2, 300, 2000])
-    def test_routes_equal_the_replaced_products(self, order):
-        clear_cache()
-        divisors = [0] * (order + 1)  # d(n) by its own sieve, d(0) = 0
-        for k in range(1, order + 1):
-            for j in range(k, order + 1, k):
-                divisors[j] += 1
-        star = sigma_star_series(order).coefficients()
-        d, p = distinct_gen(order), partition_gen(order)
-        assert sigma_mex_series(order) == d * d
-        assert sigma_L_series(order) == p * IntSeries(divisors)
-        assert chern_sigma_maex_series(order) == p * IntSeries([c + s // 2 for c, s in zip(divisors, star)])
         clear_cache()
 
 
@@ -755,12 +496,6 @@ class TestRefined:
         assert single > 0
         assert maex_slices_checked(0) == maex_slices_checked(1) == []
         assert maex_slices_checked(2) == [(1, 2, [1])]
-
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(81, 400))
-    @example(400)
-    def test_maex_slice_bodies_equal_the_zero_start_loop_property(self, order):
-        maex_slices_checked(order)
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
@@ -990,6 +725,8 @@ class TestStore:
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=80), st.integers(min_value=0, max_value=40))
+    @example(n=0, extra=2)  # orders 0 and 1 of every route, against its build at order 2
+    @example(n=1, extra=1)
     def test_prefix_served_from_larger_build_equals_cold_build(self, n, extra):
         for builder, key in STORE_ROUTES:
             clear_cache()
@@ -1090,7 +827,11 @@ def test_tracer_wraps_every_builder():
     assert "route:sigma.alt1" in got["routes"]
 
 
-def test_every_max_order_row_at_a_small_order():
-    # tests/max_order_checks.py runs each row at its own order; here a renamed route or oracle fails tier-1 too
-    for row in ROWS:
-        check_row(row, 60)
+@pytest.mark.parametrize("row", ROWS, ids=[row.label for row in ROWS])
+@settings(max_examples=3, deadline=None)
+@given(st.integers(min_value=2, max_value=2000))
+@example(2)
+@example(2000)
+def test_every_fast_path_equals_the_route_it_replaced(row, order):
+    # from 2, where the maex slices start; tests/max_order_checks.py runs each row at its CI order
+    check_row(row, order)

@@ -1,7 +1,6 @@
 """Tests for the exact truncated-series engine."""
 
 import decimal
-import math
 import pathlib
 import random
 import subprocess
@@ -691,12 +690,6 @@ class TestSparseQuotient:
     def test_quotient_examples(self, f, g, want):
         assert _sparse_quotient(f, tuple(g)) == want == loop_quotient(f, g)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 7, 300, 2000])
-    def test_one_over_the_pentagonal_series_equals_loop_invert(self, n):
-        # (q;q)_inf has the values -1 and +1 only: two groups, two plain sums a coefficient
-        g = poch(-1, 1, 1, INFINITE, n).coefficients()
-        assert _sparse_quotient([1] + [0] * n, g) == loop_invert(g)
-
 
 class TestDivBinomial:
     @settings(max_examples=60, deadline=None)
@@ -716,24 +709,38 @@ class TestDivBinomial:
                 assert got == loop_div_binomial(cs, sign, m), (sign, m)
 
 
-def test_import_loads_no_decimal():
+@pytest.fixture(scope="module")
+def modules_loaded_by_import():
+    # the top-level modules that importing qmex, qmex.cli and qmex.__main__ newly
+    # loads, read from one fresh -I interpreter
+    src = str(pathlib.Path(series.__file__).parents[1])
+    code = f"""
+import sys
+before = set(sys.modules)
+sys.path.insert(0, {src!r})
+import qmex, qmex.cli, qmex.__main__
+print(" ".join(sorted({{name.partition(".")[0] for name in set(sys.modules) - before}})))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    return set(proc.stdout.split())
+
+
+def test_import_loads_no_decimal(modules_loaded_by_import):
     # decimal is imported at the first large product, never at import time
-    src = str(pathlib.Path(series.__file__).parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import qmex, qmex.cli; "
-        "sys.exit('decimal' in sys.modules or '_decimal' in sys.modules)"
-    )
-    subprocess.run([sys.executable, "-I", "-c", code], check=True)
+    assert not {"decimal", "_decimal"} & modules_loaded_by_import
 
 
-def test_import_loads_no_json_or_datetime():
+def test_import_loads_no_json_or_datetime(modules_loaded_by_import):
     # json is imported where JSON is written, datetime by export alone
-    src = str(pathlib.Path(series.__file__).parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import qmex, qmex.cli; "
-        "sys.exit(sorted({'json', 'datetime', '_datetime'} & set(sys.modules)) or 0)"
-    )
-    subprocess.run([sys.executable, "-I", "-c", code], check=True)
+    assert not {"json", "datetime", "_datetime"} & modules_loaded_by_import
+
+
+def test_import_loads_nothing_outside_the_standard_library(modules_loaded_by_import):
+    assert "qmex" in modules_loaded_by_import
+    outside = modules_loaded_by_import - {"qmex"} - sys.stdlib_module_names
+    assert not outside, sorted(outside)
 
 
 def test_zero_and_one():
